@@ -52,6 +52,18 @@
 //! directly: demand reads that miss every level, writebacks that reach
 //! the bottom, and (separately, so demand statistics stay unpolluted)
 //! prefetch fills sourced from memory. `mem_accesses` sums all three.
+//!
+//! # One engine
+//!
+//! This is the crate's only simulation engine: the paper's single-LLC
+//! setup ([`crate::Simulator`], [`crate::simulate`]) is a 1-level stack.
+//! A stack of one level with no prefetcher has no victim routing and no
+//! prefetch probes, so [`CacheHierarchy::replay`] hands each slice
+//! straight to that level's prefetching [`SetAssociativeCache::replay`]
+//! loop, and its DRAM account — exactly the level's misses and
+//! writebacks — is taken from the level's statistics at report time.
+//! [`CacheHierarchy::access`] always takes the general per-reference
+//! path.
 
 use crate::cache::{SetAssociativeCache, Victim};
 use crate::config::{CacheConfig, ConfigError};
@@ -377,6 +389,14 @@ impl AnyCache {
         with_cache!(self, c => c.drain_dirty())
     }
 
+    fn replay(&mut self, refs: &[MemRef]) {
+        with_cache!(self, c => c.replay(refs))
+    }
+
+    fn stats(&self) -> &CacheStats {
+        with_cache!(self, c => c.stats())
+    }
+
     fn into_stats(self) -> CacheStats {
         with_cache!(self, c => c.into_stats())
     }
@@ -445,6 +465,18 @@ impl CacheHierarchy {
     /// The configuration this hierarchy was built from.
     pub fn config(&self) -> &HierarchyConfig {
         &self.config
+    }
+
+    /// Demand statistics of `level` so far. A mid-run snapshot: dirty
+    /// lines still resident are not yet counted as writebacks.
+    pub(crate) fn level_stats(&self, level: usize) -> &CacheStats {
+        self.levels[level].cache.stats()
+    }
+
+    /// One level, no prefetcher: nothing to route or probe, so the level
+    /// alone decides every DRAM access (see the module docs).
+    fn single_level(&self) -> bool {
+        self.levels.len() == 1 && self.levels[0].prefetcher.is_none()
     }
 
     /// Issue one reference.
@@ -597,8 +629,15 @@ impl CacheHierarchy {
         }
     }
 
-    /// Replay a slice of references.
+    /// Replay a slice of references: same statistics as [`Self::access`]
+    /// per reference. A single level without a prefetcher runs the
+    /// level's own prefetching replay loop instead.
     pub fn replay(&mut self, refs: &[MemRef]) {
+        if self.single_level() {
+            self.refs += refs.len() as u64;
+            self.levels[0].cache.replay(refs);
+            return;
+        }
         for &r in refs {
             self.access(r);
         }
@@ -626,6 +665,19 @@ impl CacheHierarchy {
     /// Finish (flushing) and report.
     pub fn into_report(mut self) -> HierarchyReport {
         self.flush();
+        if self.single_level() {
+            // `replay` skipped the per-reference DRAM charges. For one
+            // level they are exactly its misses and writebacks, which is
+            // what `access` charged too.
+            self.dram = CacheStats::new();
+            for (ds, s) in self.levels[0].cache.stats().iter() {
+                if s.misses + s.writebacks > 0 {
+                    let d = self.dram.ds_mut(ds);
+                    d.misses = s.misses;
+                    d.writebacks = s.writebacks;
+                }
+            }
+        }
         let specs = self.config.levels.clone();
         let levels = self
             .levels
@@ -654,7 +706,7 @@ impl CacheHierarchy {
 }
 
 /// Statistics of one level after a hierarchy run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelReport {
     /// Geometry the level ran with.
     pub config: CacheConfig,
@@ -671,7 +723,7 @@ pub struct LevelReport {
 }
 
 /// Full per-level statistics of a hierarchy run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyReport {
     /// Per-level reports, top (CPU side) first.
     pub levels: Vec<LevelReport>,
@@ -751,9 +803,9 @@ pub fn simulate_hierarchy_many_with_threads(
     threads: usize,
 ) -> Vec<HierarchyReport> {
     let workers = threads.max(1).min(configs.len().max(1));
-    let _span = dvf_obs::span("cachesim.hier.par");
-    dvf_obs::add("cachesim.hier.par.jobs", configs.len() as u64);
-    dvf_obs::add("cachesim.hier.par.workers", workers as u64);
+    let _span = dvf_obs::span("cachesim.par");
+    dvf_obs::add("cachesim.par.jobs", configs.len() as u64);
+    dvf_obs::add("cachesim.par.workers", workers as u64);
     if workers <= 1 || configs.len() <= 1 {
         return configs
             .iter()
@@ -1136,6 +1188,192 @@ mod tests {
         }
     }
 
+    /// Independent single-level reference: per-set VecDeques of
+    /// `(block, owner, dirty)`, front = next victim. LRU moves a hit to
+    /// the back; FIFO leaves it. Statistics are charged the way the
+    /// engine documents them: DRAM reads on misses, DRAM writes on dirty
+    /// evictions and at the end-of-run flush.
+    struct RefLlc {
+        config: CacheConfig,
+        promote_on_hit: bool,
+        sets: Vec<VecDeque<(u64, DsId, bool)>>,
+        stats: CacheStats,
+        dram: CacheStats,
+        refs: u64,
+    }
+
+    impl RefLlc {
+        fn new(config: CacheConfig, promote_on_hit: bool) -> Self {
+            Self {
+                config,
+                promote_on_hit,
+                sets: vec![VecDeque::new(); config.num_sets],
+                stats: CacheStats::new(),
+                dram: CacheStats::new(),
+                refs: 0,
+            }
+        }
+
+        fn access(&mut self, r: MemRef) {
+            self.refs += 1;
+            let write = r.kind == AccessKind::Write;
+            let block = r.addr / self.config.line_bytes as u64;
+            let ways = &mut self.sets[(block % self.config.num_sets as u64) as usize];
+            let s = self.stats.ds_mut(r.ds);
+            if write {
+                s.writes += 1;
+            } else {
+                s.reads += 1;
+            }
+            if let Some(pos) = ways.iter().position(|&(b, _, _)| b == block) {
+                s.hits += 1;
+                ways[pos].2 |= write;
+                if self.promote_on_hit {
+                    let line = ways.remove(pos).unwrap();
+                    ways.push_back(line);
+                }
+                return;
+            }
+            s.misses += 1;
+            self.dram.ds_mut(r.ds).misses += 1;
+            if ways.len() == self.config.associativity {
+                let (_, owner, dirty) = ways.pop_front().unwrap();
+                if dirty {
+                    self.stats.ds_mut(owner).writebacks += 1;
+                    self.dram.ds_mut(owner).writebacks += 1;
+                }
+            }
+            ways.push_back((block, r.ds, write));
+        }
+
+        fn into_report(mut self, policy: PolicyKind) -> HierarchyReport {
+            for ways in &mut self.sets {
+                for (_, owner, dirty) in ways.drain(..) {
+                    if dirty {
+                        self.stats.ds_mut(owner).writebacks += 1;
+                        self.dram.ds_mut(owner).writebacks += 1;
+                    }
+                }
+            }
+            HierarchyReport {
+                levels: vec![LevelReport {
+                    config: self.config,
+                    policy,
+                    inclusion: InclusionPolicy::Nine,
+                    prefetch_degree: 0,
+                    stats: self.stats,
+                    prefetch: PrefetchStats::default(),
+                }],
+                dram: self.dram,
+                dram_prefetch: CacheStats::new(),
+                refs: self.refs,
+            }
+        }
+    }
+
+    /// Replay `refs` through the fast path in uneven slices.
+    fn replay_in_chunks(h: &mut CacheHierarchy, refs: &[MemRef]) {
+        let mut rest = refs;
+        for len in [1usize, 7, 64, 1000, 4093].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at((*len).min(rest.len()));
+            h.replay(chunk);
+            rest = tail;
+        }
+    }
+
+    /// A trace no replacement policy can tell apart: reuse inside one
+    /// set-sized working set (hits, write hits by a non-owner), then a
+    /// single pass over fresh lines (every eviction and writeback is
+    /// forced, whichever victim is picked).
+    fn policy_blind_trace(cfg: CacheConfig) -> Trace {
+        let line = cfg.line_bytes as u64;
+        let mut t = Trace::new();
+        let a = t.registry.register("A");
+        let b = t.registry.register("B");
+        let hot = (cfg.associativity * cfg.num_sets) as u64;
+        for round in 0..3u64 {
+            for blk in 0..hot {
+                let ds = if blk % 3 == 0 { a } else { b };
+                let kind = if (blk + round) % 4 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                t.push(MemRef::new(ds, blk * line + round % line, kind));
+            }
+        }
+        for blk in hot..hot * 5 {
+            let kind = if blk % 2 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            t.push(MemRef::new(
+                if blk % 5 == 0 { a } else { b },
+                blk * line,
+                kind,
+            ));
+        }
+        t
+    }
+
+    /// The single-level fast path (`replay` → the level's own prefetching
+    /// loop, DRAM account taken at report time) must produce exactly the
+    /// report of the general per-reference path and of the independent
+    /// reference model, for every policy, reads and writes, across chunk
+    /// boundaries, on a cache-resident and on a spilling geometry.
+    #[test]
+    fn single_level_fast_path_matches_general_path_and_reference() {
+        let resident = CacheConfig::new(4, 16, 32).unwrap();
+        // 8-way x 4096 sets: metadata past the resident threshold, so the
+        // replay loop runs its look-ahead branch.
+        let spilling = CacheConfig::new(8, 4096, 32).unwrap();
+        for (cfg, space) in [(resident, 8 * 1024), (spilling, 4 << 20)] {
+            let mixed = mixed_trace(40_000, 5, space);
+            let blind = policy_blind_trace(cfg);
+            for policy in PolicyKind::ALL {
+                let stack =
+                    HierarchyConfig::new(vec![LevelSpec::new(cfg).with_policy(policy)]).unwrap();
+                for (name, trace) in [("mixed", &mixed), ("blind", &blind)] {
+                    let mut fast = CacheHierarchy::from_config(stack.clone());
+                    assert!(fast.single_level());
+                    replay_in_chunks(&mut fast, &trace.refs);
+                    let mut general = CacheHierarchy::from_config(stack.clone());
+                    for &r in &trace.refs {
+                        general.access(r);
+                    }
+                    general.flush();
+                    // The general path charged DRAM per reference; the
+                    // fast path must rebuild the same account.
+                    let charged = general.dram.clone();
+                    let general = general.into_report();
+                    assert_eq!(general.dram, charged, "{name} {policy:?} {cfg}");
+                    let fast = fast.into_report();
+                    assert_eq!(fast, general, "{name} {policy:?} {cfg}");
+                    let promote = match policy {
+                        PolicyKind::Lru => true,
+                        PolicyKind::Fifo => false,
+                        // PLRU and random victims show on the mixed trace.
+                        _ if name == "mixed" => continue,
+                        _ => true,
+                    };
+                    let mut reference = RefLlc::new(cfg, promote);
+                    for &r in &trace.refs {
+                        reference.access(r);
+                    }
+                    assert_eq!(
+                        fast,
+                        reference.into_report(policy),
+                        "{name} {policy:?} {cfg}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn inclusive_eviction_back_invalidates_and_merges_dirty() {
         // L1 and inclusive LLC both 2-way x 1 set, 16 B lines. A write
@@ -1280,15 +1518,7 @@ mod tests {
             .iter()
             .map(|c| simulate_hierarchy_config(&trace, c))
             .collect();
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.refs, s.refs);
-            assert_eq!(p.dram.total(), s.dram.total());
-            assert_eq!(p.dram_prefetch.total(), s.dram_prefetch.total());
-            for (pl, sl) in p.levels.iter().zip(&s.levels) {
-                assert_eq!(pl.stats.total(), sl.stats.total());
-                assert_eq!(pl.prefetch, sl.prefetch);
-            }
-        }
+        assert_eq!(par, seq);
     }
 
     #[test]

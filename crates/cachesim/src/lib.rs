@@ -22,6 +22,12 @@
 //!   misses and writebacks can be attributed to individual data structures —
 //!   the granularity at which DVF is defined.
 //!
+//! There is one simulation engine, the N-level [`CacheHierarchy`]. The
+//! paper's single-LLC API ([`Simulator`], [`simulate`], [`simulate_many`],
+//! [`SimReport`]) wraps a 1-level stack; a stack of one level with no
+//! prefetcher replays through that level's own prefetching
+//! [`SetAssociativeCache::replay`] loop (see [`hierarchy`]).
+//!
 //! ## Quick example
 //!
 //! ```
@@ -62,8 +68,8 @@ pub use hierarchy::{
 };
 pub use replacement::{Fifo, Lru, PolicyKind, RandomEvict, ReplacementPolicy, TreePlru};
 pub use sim::{
-    simulate, simulate_many, simulate_many_with_threads, simulate_with_policy, AnySimulator,
-    SimJob, SimReport, Simulator,
+    simulate, simulate_many, simulate_many_with_threads, simulate_with_policy, SimJob, SimReport,
+    Simulator,
 };
 pub use stats::{CacheStats, DsStats};
 pub use trace::{AccessKind, DsId, DsRegistry, MemRef, Trace};

@@ -1,8 +1,16 @@
-//! One-shot simulation driver.
+//! The paper's single-LLC view of the simulation engine.
+//!
+//! Every name here is a thin wrapper over a 1-level
+//! [`CacheHierarchy`]: [`SimJob::hierarchy`] builds the stack, the
+//! engine's single-level fast path replays it, and [`SimReport`] is the
+//! level's view of the [`HierarchyReport`].
 
-use crate::cache::SetAssociativeCache;
 use crate::config::CacheConfig;
-use crate::replacement::{Fifo, Lru, PolicyKind, RandomEvict, ReplacementPolicy, TreePlru};
+use crate::hierarchy::{
+    simulate_hierarchy_config, simulate_hierarchy_many, simulate_hierarchy_many_with_threads,
+    CacheHierarchy, HierarchyConfig, HierarchyReport, LevelSpec,
+};
+use crate::replacement::PolicyKind;
 use crate::stats::{CacheStats, DsStats};
 use crate::trace::{DsId, MemRef, Trace};
 
@@ -19,6 +27,34 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// Level 0's view of a finished run — the whole report for the
+    /// 1-level stacks [`SimJob::hierarchy`] builds.
+    pub fn from_hierarchy(report: HierarchyReport) -> Self {
+        let level = report
+            .levels
+            .into_iter()
+            .next()
+            .expect("a hierarchy has at least one level");
+        let report = SimReport {
+            config: level.config,
+            policy: level.policy.name(),
+            refs: report.refs,
+            stats: level.stats,
+        };
+        // Observability: one batched update per run, so the per-reference
+        // hot path stays instrumentation-free. Also fires when only a
+        // per-request trace is active, so fused-path simulations
+        // attribute their reference counts to the requesting trace.
+        if dvf_obs::enabled() || dvf_obs::trace::active() {
+            let total = report.total();
+            dvf_obs::add("cachesim.refs", report.refs);
+            dvf_obs::add("cachesim.hits", total.hits);
+            dvf_obs::add("cachesim.misses", total.misses);
+            dvf_obs::add("cachesim.writebacks", total.writebacks);
+        }
+        report
+    }
+
     /// Stats for one data structure.
     pub fn ds(&self, ds: DsId) -> DsStats {
         self.stats.ds(ds)
@@ -39,76 +75,43 @@ impl SimReport {
 ///
 /// [`finish`]: Simulator::finish
 #[derive(Debug)]
-pub struct Simulator<P: ReplacementPolicy = Lru> {
-    cache: SetAssociativeCache<P>,
-    refs: u64,
-    policy_name: &'static str,
-    /// Whether `finish` flushes resident dirty lines (default: true, so
-    /// that the end-of-run state reaches main memory as on a real system).
-    pub flush_at_end: bool,
+pub struct Simulator {
+    engine: CacheHierarchy,
 }
 
-impl Simulator<Lru> {
+impl Simulator {
     /// LRU simulator (the paper's configuration).
     pub fn new(config: CacheConfig) -> Self {
-        Self::with_policy(config, Lru)
+        Self::with_policy(config, PolicyKind::Lru)
     }
-}
 
-impl<P: ReplacementPolicy> Simulator<P> {
     /// Simulator with an explicit replacement policy.
-    pub fn with_policy(config: CacheConfig, policy: P) -> Self {
-        let policy_name = policy.name();
+    pub fn with_policy(config: CacheConfig, policy: PolicyKind) -> Self {
         Self {
-            cache: SetAssociativeCache::with_policy(config, policy),
-            refs: 0,
-            policy_name,
-            flush_at_end: true,
+            engine: CacheHierarchy::from_config(SimJob { config, policy }.hierarchy()),
         }
     }
 
     /// Replay one reference.
     #[inline]
     pub fn access(&mut self, r: MemRef) {
-        self.refs += 1;
-        self.cache.access(r);
+        self.engine.access(r);
     }
 
     /// Replay a slice of references (prefetching replay loop).
     pub fn run(&mut self, refs: &[MemRef]) {
-        self.refs += refs.len() as u64;
-        self.cache.replay(refs);
+        self.engine.replay(refs);
     }
 
     /// Statistics accumulated so far (mid-run snapshotting; resident dirty
     /// lines are not yet counted as writebacks).
     pub fn stats(&self) -> &CacheStats {
-        self.cache.stats()
+        self.engine.level_stats(0)
     }
 
-    /// Flush (if enabled) and produce the report.
-    pub fn finish(mut self) -> SimReport {
-        if self.flush_at_end {
-            self.cache.flush();
-        }
-        let report = SimReport {
-            config: self.cache.config(),
-            policy: self.policy_name,
-            refs: self.refs,
-            stats: self.cache.into_stats(),
-        };
-        // Observability: one batched update per run, so the per-reference
-        // hot path stays instrumentation-free. Also fires when only a
-        // per-request trace is active, so fused-path simulations
-        // attribute their reference counts to the requesting trace.
-        if dvf_obs::enabled() || dvf_obs::trace::active() {
-            let total = report.total();
-            dvf_obs::add("cachesim.refs", report.refs);
-            dvf_obs::add("cachesim.hits", total.hits);
-            dvf_obs::add("cachesim.misses", total.misses);
-            dvf_obs::add("cachesim.writebacks", total.writebacks);
-        }
-        report
+    /// Flush resident dirty lines to main memory and produce the report.
+    pub fn finish(self) -> SimReport {
+        SimReport::from_hierarchy(self.engine.into_report())
     }
 }
 
@@ -122,17 +125,8 @@ pub fn simulate(trace: &Trace, config: CacheConfig) -> SimReport {
 
 /// Simulate a whole trace under a selectable replacement policy.
 pub fn simulate_with_policy(trace: &Trace, config: CacheConfig, policy: PolicyKind) -> SimReport {
-    fn go<P: ReplacementPolicy>(trace: &Trace, config: CacheConfig, policy: P) -> SimReport {
-        let mut sim = Simulator::with_policy(config, policy);
-        sim.run(&trace.refs);
-        sim.finish()
-    }
-    match policy {
-        PolicyKind::Lru => go(trace, config, Lru),
-        PolicyKind::Fifo => go(trace, config, Fifo),
-        PolicyKind::Plru => go(trace, config, TreePlru),
-        PolicyKind::Random => go(trace, config, RandomEvict::default()),
-    }
+    let stack = SimJob { config, policy }.hierarchy();
+    SimReport::from_hierarchy(simulate_hierarchy_config(trace, &stack))
 }
 
 /// One (geometry, policy) replay job for [`simulate_many`].
@@ -152,85 +146,27 @@ impl SimJob {
             policy: PolicyKind::Lru,
         }
     }
-}
 
-/// Policy-erased streaming simulator: one variant per [`PolicyKind`].
-///
-/// Lets heterogeneous job grids (mixed geometries *and* policies) be
-/// driven chunk-by-chunk from a single reference stream — the fused
-/// record→simulate path — without generics at the call site.
-#[derive(Debug)]
-pub enum AnySimulator {
-    /// LRU replacement (the paper's configuration).
-    Lru(Simulator<Lru>),
-    /// FIFO replacement.
-    Fifo(Simulator<Fifo>),
-    /// Tree pseudo-LRU replacement.
-    Plru(Simulator<TreePlru>),
-    /// Random replacement.
-    Random(Simulator<RandomEvict>),
-}
-
-impl AnySimulator {
-    /// Simulator for one job's geometry + policy.
-    pub fn new(job: SimJob) -> Self {
-        match job.policy {
-            PolicyKind::Lru => AnySimulator::Lru(Simulator::with_policy(job.config, Lru)),
-            PolicyKind::Fifo => AnySimulator::Fifo(Simulator::with_policy(job.config, Fifo)),
-            PolicyKind::Plru => AnySimulator::Plru(Simulator::with_policy(job.config, TreePlru)),
-            PolicyKind::Random => {
-                AnySimulator::Random(Simulator::with_policy(job.config, RandomEvict::default()))
-            }
-        }
-    }
-
-    /// Replay one reference.
-    #[inline]
-    pub fn access(&mut self, r: MemRef) {
-        match self {
-            AnySimulator::Lru(s) => s.access(r),
-            AnySimulator::Fifo(s) => s.access(r),
-            AnySimulator::Plru(s) => s.access(r),
-            AnySimulator::Random(s) => s.access(r),
-        }
-    }
-
-    /// Replay a slice of references (prefetching replay loop).
-    pub fn run(&mut self, refs: &[MemRef]) {
-        match self {
-            AnySimulator::Lru(s) => s.run(refs),
-            AnySimulator::Fifo(s) => s.run(refs),
-            AnySimulator::Plru(s) => s.run(refs),
-            AnySimulator::Random(s) => s.run(refs),
-        }
-    }
-
-    /// Flush (if enabled) and produce the report.
-    pub fn finish(self) -> SimReport {
-        match self {
-            AnySimulator::Lru(s) => s.finish(),
-            AnySimulator::Fifo(s) => s.finish(),
-            AnySimulator::Plru(s) => s.finish(),
-            AnySimulator::Random(s) => s.finish(),
-        }
+    /// The 1-level, no-prefetch stack this job runs on.
+    ///
+    /// Panics with the descriptive [`crate::ConfigError`] message if the
+    /// geometry is invalid (only possible via a struct literal;
+    /// [`CacheConfig::new`] validates).
+    pub fn hierarchy(self) -> HierarchyConfig {
+        HierarchyConfig::new(vec![LevelSpec::new(self.config).with_policy(self.policy)])
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
-/// Replay one borrowed trace through every job in parallel.
-///
-/// The trace is shared by reference across `std::thread::scope` workers —
-/// never cloned — so fanning a multi-million-reference trace across a
-/// config × policy grid costs one trace, not N. Reports come back in job
-/// order and are bit-identical to running [`simulate_with_policy`] per
-/// job sequentially (each job owns its cache; no shared mutable state).
-///
-/// Worker count defaults to `available_parallelism`, capped at the job
-/// count. Use [`simulate_many_with_threads`] to pin it.
+/// Replay one borrowed trace through every job in parallel: the jobs'
+/// 1-level stacks through [`simulate_hierarchy_many`]. Reports come back
+/// in job order, bit-identical to [`simulate_with_policy`] per job.
 pub fn simulate_many(trace: &Trace, jobs: &[SimJob]) -> Vec<SimReport> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    simulate_many_with_threads(trace, jobs, threads)
+    let stacks: Vec<HierarchyConfig> = jobs.iter().map(|j| j.hierarchy()).collect();
+    simulate_hierarchy_many(trace, &stacks)
+        .into_iter()
+        .map(SimReport::from_hierarchy)
+        .collect()
 }
 
 /// [`simulate_many`] with an explicit worker-thread cap (`threads == 1`
@@ -240,33 +176,10 @@ pub fn simulate_many_with_threads(
     jobs: &[SimJob],
     threads: usize,
 ) -> Vec<SimReport> {
-    let workers = threads.max(1).min(jobs.len().max(1));
-    let _span = dvf_obs::span("cachesim.par");
-    dvf_obs::add("cachesim.par.jobs", jobs.len() as u64);
-    dvf_obs::add("cachesim.par.workers", workers as u64);
-    if workers <= 1 || jobs.len() <= 1 {
-        return jobs
-            .iter()
-            .map(|j| simulate_with_policy(trace, j.config, j.policy))
-            .collect();
-    }
-    // Scoped-thread fan-out with ordered result slots (same pattern as
-    // dvf-core's `sweep::par_map`, which we cannot depend on from here
-    // without inverting the crate graph).
-    let chunk = jobs.len().div_ceil(workers);
-    let mut results: Vec<Option<SimReport>> = (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot_chunk, job_chunk) in results.chunks_mut(chunk).zip(jobs.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, job) in slot_chunk.iter_mut().zip(job_chunk) {
-                    *slot = Some(simulate_with_policy(trace, job.config, job.policy));
-                }
-            });
-        }
-    });
-    results
+    let stacks: Vec<HierarchyConfig> = jobs.iter().map(|j| j.hierarchy()).collect();
+    simulate_hierarchy_many_with_threads(trace, &stacks, threads)
         .into_iter()
-        .map(|r| r.expect("every job slot filled by its worker"))
+        .map(SimReport::from_hierarchy)
         .collect()
 }
 
@@ -307,13 +220,20 @@ mod tests {
     }
 
     #[test]
-    fn flush_can_be_disabled() {
-        let cfg = table4::SMALL_VERIFICATION;
-        let mut sim = Simulator::new(cfg);
-        sim.flush_at_end = false;
-        sim.access(MemRef::write(DsId(0), 0));
-        let report = sim.finish();
-        assert_eq!(report.ds(DsId(0)).mem_accesses(), 1);
+    fn stats_snapshot_leaves_dirty_lines_unflushed() {
+        // Mid-run snapshots (what periodic extrapolation reads) count the
+        // miss but not the still-resident dirty line; only `finish`
+        // writes it back. Same through both replay entry points.
+        let a = DsId(0);
+        let mut per_ref = Simulator::new(table4::SMALL_VERIFICATION);
+        per_ref.access(MemRef::write(a, 0));
+        let mut sliced = Simulator::new(table4::SMALL_VERIFICATION);
+        sliced.run(&[MemRef::write(a, 0)]);
+        for sim in [per_ref, sliced] {
+            assert_eq!(sim.stats().ds(a).mem_accesses(), 1);
+            assert_eq!(sim.stats().ds(a).writebacks, 0);
+            assert_eq!(sim.finish().ds(a).mem_accesses(), 2);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use dvf_cachesim::{
     simulate, simulate_hierarchy_config, simulate_hierarchy_many_with_threads,
-    simulate_many_with_threads, simulate_with_policy, AccessKind, CacheConfig, HierarchyConfig,
-    InclusionPolicy, LevelSpec, MemRef, PolicyKind, SimJob, Simulator, Trace,
+    simulate_many_with_threads, simulate_with_policy, AccessKind, CacheConfig, CacheHierarchy,
+    HierarchyConfig, InclusionPolicy, LevelSpec, MemRef, PolicyKind, SimJob, SimReport, Simulator,
+    Trace,
 };
 use proptest::prelude::*;
 
@@ -111,7 +112,10 @@ proptest! {
     }
 
     /// Parallel fan-out is bit-identical to per-job sequential replay for
-    /// every policy, any geometry mix, and any worker count.
+    /// every policy, any geometry mix, and any worker count — both to the
+    /// one-shot flat API and to the engine's per-reference path on the
+    /// job's 1-level stack (the fan-out replays through the single-level
+    /// fast path).
     #[test]
     fn simulate_many_matches_sequential(
         cfg_a in arb_config(),
@@ -130,6 +134,34 @@ proptest! {
         for (job, report) in jobs.iter().zip(&par) {
             let seq = simulate_with_policy(&trace, job.config, job.policy);
             prop_assert_eq!(report, &seq);
+            let mut engine = CacheHierarchy::from_config(job.hierarchy());
+            for &r in &trace.refs {
+                engine.access(r);
+            }
+            prop_assert_eq!(report, &SimReport::from_hierarchy(engine.into_report()));
+        }
+    }
+
+    /// The engine's single-level fast path (`replay`, split anywhere) and
+    /// its general per-reference path (`access`) produce the same full
+    /// report for every policy and geometry.
+    #[test]
+    fn single_level_replay_matches_per_reference_access(
+        cfg in arb_config(),
+        trace in arb_trace(250),
+        split in 0usize..250,
+    ) {
+        for policy in PolicyKind::ALL {
+            let stack = SimJob { config: cfg, policy }.hierarchy();
+            let (head, tail) = trace.refs.split_at(split.min(trace.len()));
+            let mut fast = CacheHierarchy::from_config(stack.clone());
+            fast.replay(head);
+            fast.replay(tail);
+            let mut general = CacheHierarchy::from_config(stack);
+            for &r in &trace.refs {
+                general.access(r);
+            }
+            prop_assert_eq!(fast.into_report(), general.into_report());
         }
     }
 }
@@ -246,14 +278,7 @@ proptest! {
         let par = simulate_hierarchy_many_with_threads(&trace, &configs, threads);
         prop_assert_eq!(par.len(), configs.len());
         for (config, report) in configs.iter().zip(&par) {
-            let seq = simulate_hierarchy_config(&trace, config);
-            prop_assert_eq!(report.refs, seq.refs);
-            prop_assert_eq!(&report.dram, &seq.dram);
-            prop_assert_eq!(&report.dram_prefetch, &seq.dram_prefetch);
-            for (a, b) in report.levels.iter().zip(&seq.levels) {
-                prop_assert_eq!(&a.stats, &b.stats);
-                prop_assert_eq!(a.prefetch, b.prefetch);
-            }
+            prop_assert_eq!(report, &simulate_hierarchy_config(&trace, config));
         }
     }
 

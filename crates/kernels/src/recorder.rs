@@ -15,8 +15,8 @@
 //! finalization phases".
 
 use dvf_cachesim::{
-    AccessKind, AnySimulator, CacheHierarchy, DsId, DsRegistry, HierarchyConfig, HierarchyReport,
-    MemRef, ReplacementPolicy, SimJob, SimReport, Simulator, Trace,
+    AccessKind, CacheHierarchy, DsId, DsRegistry, HierarchyConfig, HierarchyReport, MemRef, SimJob,
+    SimReport, Simulator, Trace,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,7 +39,7 @@ impl TraceSink for Trace {
     }
 }
 
-impl<P: ReplacementPolicy> TraceSink for Simulator<P> {
+impl TraceSink for Simulator {
     fn emit(&mut self, r: MemRef) {
         self.access(r);
     }
@@ -87,100 +87,61 @@ impl std::fmt::Debug for Tee {
     }
 }
 
-/// References buffered per [`SimFanout`] replay chunk (1 MiB of
+/// References buffered per [`HierarchyFanout`] replay chunk (1 MiB of
 /// `MemRef`s): large enough to amortize the scoped-thread fan-out and to
-/// keep each simulator in its prefetching [`Simulator::run`] loop.
+/// keep each single-level stack in its prefetching replay loop.
 const FANOUT_CHUNK: usize = 65_536;
 
 /// Fan-out sink driving a whole simulation job grid straight from kernel
-/// recording — the *fused* record→simulate path.
-///
-/// Unlike [`Tee`] (one `Rc<RefCell<…>>` dispatch per reference per sink),
-/// this sink buffers references into chunks and replays each chunk across
-/// all simulators with scoped threads, so fanning a kernel over N
-/// geometries costs one buffered chunk, not N materialized traces — and
-/// no trace file at all. Every simulator sees the full stream in order,
-/// so reports are bit-identical to buffering a [`Trace`] and replaying it
-/// through [`dvf_cachesim::simulate_many`].
+/// recording — the *fused* record→simulate path for the paper's
+/// single-LLC jobs. It is a [`HierarchyFanout`] over each job's 1-level
+/// stack ([`SimJob::hierarchy`]) whose reports are mapped to
+/// [`SimReport`]s, so reports are bit-identical to buffering a [`Trace`]
+/// and replaying it through [`dvf_cachesim::simulate_many`].
 #[derive(Debug)]
-pub struct SimFanout {
-    sims: Vec<AnySimulator>,
-    buf: Vec<MemRef>,
-    threads: usize,
-}
+pub struct SimFanout(HierarchyFanout);
 
 impl SimFanout {
     /// Fan-out over one simulator per job, with worker threads defaulting
     /// to `available_parallelism` (capped at the job count).
     pub fn new(jobs: &[SimJob]) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(jobs, threads)
+        Self(HierarchyFanout::new(&stacks(jobs)))
     }
 
     /// [`SimFanout::new`] with an explicit worker-thread cap.
     pub fn with_threads(jobs: &[SimJob], threads: usize) -> Self {
-        Self {
-            sims: jobs.iter().map(|&j| AnySimulator::new(j)).collect(),
-            buf: Vec::with_capacity(FANOUT_CHUNK),
-            threads: threads.max(1),
-        }
+        Self(HierarchyFanout::with_threads(&stacks(jobs), threads))
     }
 
     /// Number of simulators attached.
     pub fn len(&self) -> usize {
-        self.sims.len()
+        self.0.len()
     }
 
     /// Whether no simulators are attached.
     pub fn is_empty(&self) -> bool {
-        self.sims.is_empty()
-    }
-
-    /// Replay the buffered chunk through every simulator.
-    fn flush_chunk(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let workers = self.threads.min(self.sims.len().max(1));
-        if workers <= 1 || self.sims.len() <= 1 {
-            for sim in &mut self.sims {
-                sim.run(&self.buf);
-            }
-        } else {
-            let per = self.sims.len().div_ceil(workers);
-            let buf = &self.buf;
-            std::thread::scope(|scope| {
-                for sims in self.sims.chunks_mut(per) {
-                    scope.spawn(move || {
-                        for sim in sims {
-                            sim.run(buf);
-                        }
-                    });
-                }
-            });
-        }
-        dvf_obs::add("kernels.fanout.chunks", 1);
-        dvf_obs::add("kernels.fanout.refs", self.buf.len() as u64);
-        self.buf.clear();
+        self.0.is_empty()
     }
 
     /// Flush the final partial chunk and collect the reports, in job
     /// order.
-    pub fn finish(mut self) -> Vec<SimReport> {
-        self.flush_chunk();
-        self.sims.drain(..).map(AnySimulator::finish).collect()
+    pub fn finish(self) -> Vec<SimReport> {
+        self.0
+            .finish()
+            .into_iter()
+            .map(SimReport::from_hierarchy)
+            .collect()
     }
+}
+
+fn stacks(jobs: &[SimJob]) -> Vec<HierarchyConfig> {
+    jobs.iter().map(|j| j.hierarchy()).collect()
 }
 
 impl TraceSink for SimFanout {
     #[inline]
     fn emit(&mut self, r: MemRef) {
-        self.buf.push(r);
-        if self.buf.len() >= FANOUT_CHUNK {
-            self.flush_chunk();
-        }
+        self.0.emit(r);
     }
 }
 
@@ -190,10 +151,12 @@ impl TraceSink for CacheHierarchy {
     }
 }
 
-/// [`SimFanout`]'s multi-level sibling: fan a recorded reference stream
-/// across a grid of cache hierarchies, chunked and replayed with scoped
-/// threads, with no trace ever materialized. Reports are bit-identical to
-/// buffering a [`Trace`] and replaying it through
+/// Fan a recorded reference stream across a grid of cache hierarchies,
+/// chunked and replayed with scoped threads, with no trace ever
+/// materialized. Unlike [`Tee`] (one `Rc<RefCell<…>>` dispatch per
+/// reference per sink), fanning a kernel over N stacks costs one
+/// buffered chunk, not N materialized traces. Reports are bit-identical
+/// to buffering a [`Trace`] and replaying it through
 /// [`dvf_cachesim::simulate_hierarchy_many`].
 #[derive(Debug)]
 pub struct HierarchyFanout {
@@ -257,8 +220,8 @@ impl HierarchyFanout {
                 }
             });
         }
-        dvf_obs::add("kernels.hier_fanout.chunks", 1);
-        dvf_obs::add("kernels.hier_fanout.refs", self.buf.len() as u64);
+        dvf_obs::add("kernels.fanout.chunks", 1);
+        dvf_obs::add("kernels.fanout.refs", self.buf.len() as u64);
         self.buf.clear();
     }
 
@@ -301,8 +264,9 @@ pub fn record_hierarchy_fanout<F: FnOnce(&Recorder)>(
     (registry, fanout.into_inner().finish())
 }
 
-/// Run a recording closure with a [`SimFanout`] sink over `jobs` and
-/// return the registry the kernel declared plus one report per job.
+/// Run a recording closure through the 1-level stacks of `jobs` and
+/// return the registry the kernel declared plus one report per job:
+/// [`record_hierarchy_fanout`] with each report mapped to a [`SimReport`].
 ///
 /// This is the fused pipeline in one call: the kernel's references stream
 /// chunk-by-chunk into every simulator, and no `Trace` (let alone a trace
@@ -331,15 +295,9 @@ pub fn record_fanout<F: FnOnce(&Recorder)>(
     jobs: &[SimJob],
     run: F,
 ) -> (DsRegistry, Vec<SimReport>) {
-    let fanout = Rc::new(RefCell::new(SimFanout::new(jobs)));
-    let rec = Recorder::streaming(fanout.clone());
-    run(&rec);
-    let registry = rec.registry();
-    drop(rec);
-    let Ok(fanout) = Rc::try_unwrap(fanout) else {
-        panic!("kernel closure must drop its tracked buffers and recorder clones");
-    };
-    (registry, fanout.into_inner().finish())
+    let (registry, reports) = record_hierarchy_fanout(&stacks(jobs), run);
+    let reports = reports.into_iter().map(SimReport::from_hierarchy).collect();
+    (registry, reports)
 }
 
 /// Run a recording closure with *two* sinks teed off the same stream —
@@ -748,6 +706,10 @@ mod tests {
         assert_eq!(fused, expected);
         assert_eq!(registry.id("A"), trace.registry.id("A"));
         assert_eq!(registry.id("B"), trace.registry.id("B"));
+
+        // The sink itself, teed beside a buffering trace.
+        let (_, sink, _) = record_tee(SimFanout::new(&jobs), Trace::new(), kernel);
+        assert_eq!(sink.finish(), expected);
     }
 
     #[test]
@@ -786,16 +748,7 @@ mod tests {
         let expected = simulate_hierarchy_many(&trace, &configs);
 
         let (registry, fused) = record_hierarchy_fanout(&configs, kernel);
-        assert_eq!(fused.len(), expected.len());
-        for (f, e) in fused.iter().zip(&expected) {
-            assert_eq!(f.refs, e.refs);
-            assert_eq!(f.dram.total(), e.dram.total());
-            assert_eq!(f.dram_prefetch.total(), e.dram_prefetch.total());
-            for (fl, el) in f.levels.iter().zip(&e.levels) {
-                assert_eq!(fl.stats.total(), el.stats.total());
-                assert_eq!(fl.prefetch, el.prefetch);
-            }
-        }
+        assert_eq!(fused, expected);
         assert_eq!(registry.id("A"), trace.registry.id("A"));
     }
 

@@ -126,7 +126,6 @@ pub fn replay_periodic(period: &Trace, iters: u64, config: CacheConfig) -> Vec<(
         .map(|(id, name)| (id, name.to_owned()))
         .collect();
     let mut sim = Simulator::new(config);
-    sim.flush_at_end = false;
     sim.run(&period.refs);
     let first: Vec<u64> = ids
         .iter()

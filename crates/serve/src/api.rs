@@ -268,7 +268,7 @@ fn metrics_json(ctx: &ServeCtx) -> Response {
     w.key("serve")
         .begin_object()
         .key("transport")
-        .string(ctx.config.transport.as_str())
+        .string(crate::TRANSPORT)
         .key("workers")
         .u64(ctx.config.workers as u64)
         .key("queue_capacity")
@@ -338,7 +338,7 @@ fn metrics_prometheus(ctx: &ServeCtx) -> Response {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {value}");
     }
-    let transport = ctx.config.transport.as_str();
+    let transport = crate::TRANSPORT;
     let _ = writeln!(out, "# TYPE dvf_serve_transport gauge");
     let _ = writeln!(out, "dvf_serve_transport{{transport=\"{transport}\"}} 1");
     let (version, git) = build_info();

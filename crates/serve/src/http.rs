@@ -1,5 +1,5 @@
-//! Hand-rolled HTTP/1.1 plumbing: request parsing with strict limits,
-//! response serialization, and the per-connection keep-alive loop.
+//! Hand-rolled HTTP/1.1 plumbing: request parsing with strict limits and
+//! response serialization. The event loop owns the connections.
 //!
 //! The server speaks exactly the subset the `dvf-serve/1` API needs:
 //! `GET`/`POST`/`DELETE`, `Content-Length` bodies (no chunked encoding),
@@ -8,9 +8,8 @@
 //! dropped connection: oversized headers (431), oversized bodies (413),
 //! missing length on a body (411), chunked encoding (501), garbage (400).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// Upper bound on the request line + headers block.
 pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -119,22 +118,10 @@ impl Response {
     }
 }
 
-/// Why reading the next request off a connection stopped.
-#[derive(Debug)]
-pub(crate) enum ReadOutcome {
-    /// Clean end: the peer closed (or went idle past the read timeout)
-    /// between requests.
-    Done,
-    /// Protocol error: answer with this response, then close.
-    Reject(Response),
-}
-
 /// Result of one attempt to parse a request out of buffered bytes.
 ///
-/// [`parse_request`] is a pure function of the buffer, so both the
-/// blocking transport (read until parseable) and the event loop (parse
-/// after every readiness-driven read) share one grammar and one set of
-/// limit checks.
+/// [`parse_request`] is a pure function of the buffer: the event loop
+/// runs it after every readiness-driven read.
 #[derive(Debug)]
 pub(crate) enum Parse {
     /// More bytes are needed. `header_complete` distinguishes "waiting
@@ -265,68 +252,6 @@ pub(crate) fn parse_request(buf: &[u8], max_body: usize) -> Parse {
     )
 }
 
-/// Buffered reader over one connection, preserving bytes that arrive
-/// ahead of the current request (pipelining / keep-alive).
-pub(crate) struct Conn<'a> {
-    stream: &'a TcpStream,
-    buf: Vec<u8>,
-}
-
-impl<'a> Conn<'a> {
-    pub(crate) fn new(stream: &'a TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::with_capacity(1024),
-        }
-    }
-
-    /// Pull more bytes from the socket; `Ok(false)` on orderly EOF.
-    fn fill(&mut self) -> std::io::Result<bool> {
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n > 0)
-    }
-
-    /// Read and parse the next request: block (within the socket's read
-    /// timeout) until [`parse_request`] has enough bytes to decide.
-    pub(crate) fn read_request(&mut self, max_body: usize) -> Result<Request, ReadOutcome> {
-        loop {
-            let header_complete = match parse_request(&self.buf, max_body) {
-                Parse::Complete(req, consumed) => {
-                    // Keep whatever arrived beyond this request for the
-                    // next round (pipelining / keep-alive).
-                    self.buf.drain(..consumed);
-                    return Ok(req);
-                }
-                Parse::Reject(resp) => return Err(ReadOutcome::Reject(resp)),
-                Parse::Incomplete { header_complete } => header_complete,
-            };
-            match self.fill() {
-                Ok(true) => {}
-                // EOF or timeout with the header block still incomplete:
-                // the peer is done (clean between requests, malformed
-                // mid-header — nothing useful left to answer either way).
-                // After a complete header, a short body is a protocol
-                // error the client deserves to hear about.
-                Ok(false) if header_complete => return Err(ReadOutcome::Reject(truncated_body())),
-                Ok(false) => return Err(ReadOutcome::Done),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if header_complete {
-                        return Err(ReadOutcome::Reject(truncated_body()));
-                    }
-                    return Err(ReadOutcome::Done);
-                }
-                Err(_) if header_complete => return Err(ReadOutcome::Reject(truncated_body())),
-                Err(_) => return Err(ReadOutcome::Done),
-            }
-        }
-    }
-}
-
 /// The `400` a connection gets when it ends before its declared body.
 pub(crate) fn truncated_body() -> Response {
     error_response(
@@ -337,8 +262,8 @@ pub(crate) fn truncated_body() -> Response {
 }
 
 /// Serialize `resp` to wire bytes; `keep_alive` selects the `Connection`
-/// header. Shared by the blocking writer below and the event loop's
-/// per-connection output buffers.
+/// header. Feeds the event loop's per-connection output buffers and the
+/// blocking writer below.
 pub(crate) fn serialize_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -386,17 +311,6 @@ pub fn error_response(status: u16, code: &str, message: &str) -> Response {
     Response::json(status, w.finish())
 }
 
-/// Configure per-connection socket behaviour.
-pub(crate) fn prepare_stream(
-    stream: &TcpStream,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.set_write_timeout(Some(write_timeout))?;
-    stream.set_nodelay(true)
-}
-
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack
         .windows(needle.len())
@@ -406,18 +320,14 @@ fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
-    /// Feed raw bytes through a real socket pair and parse one request.
-    fn parse_one(raw: &[u8], max_body: usize) -> Result<Request, ReadOutcome> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw).unwrap();
-        client.shutdown(std::net::Shutdown::Write).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        prepare_stream(&server_side, Duration::from_secs(1), Duration::from_secs(1)).unwrap();
-        Conn::new(&server_side).read_request(max_body)
+    /// Parse one complete request, or the response it is rejected with.
+    fn parse_one(raw: &[u8], max_body: usize) -> Result<Request, Response> {
+        match parse_request(raw, max_body) {
+            Parse::Complete(req, _) => Ok(req),
+            Parse::Reject(resp) => Err(resp),
+            other => panic!("expected a decision, got {other:?}"),
+        }
     }
 
     #[test]
@@ -443,46 +353,19 @@ mod tests {
             b"POST /v1/parse HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
             1024,
         );
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 413),
-            other => panic!("expected 413, got {other:?}"),
-        }
+        assert_eq!(out.unwrap_err().status, 413);
     }
 
     #[test]
     fn post_without_length_is_411() {
         let out = parse_one(b"POST /v1/parse HTTP/1.1\r\nHost: h\r\n\r\n", 1024);
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 411),
-            other => panic!("expected 411, got {other:?}"),
-        }
+        assert_eq!(out.unwrap_err().status, 411);
     }
 
     #[test]
     fn garbage_request_line_is_400() {
         let out = parse_one(b"NOT-HTTP\r\n\r\n", 1024);
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 400),
-            other => panic!("expected 400, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_body_is_400() {
-        let out = parse_one(
-            b"POST /v1/parse HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
-            1024,
-        );
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 400),
-            other => panic!("expected 400, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn clean_eof_is_done() {
-        let out = parse_one(b"", 1024);
-        assert!(matches!(out, Err(ReadOutcome::Done)));
+        assert_eq!(out.unwrap_err().status, 400);
     }
 
     #[test]

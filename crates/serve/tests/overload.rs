@@ -6,20 +6,14 @@
 mod common;
 
 use common::{connect, read_reply, request, send};
-use dvf_serve::{Server, ServerConfig, Transport};
+use dvf_serve::{Server, ServerConfig};
 use std::io::{BufReader, Read, Write};
 use std::time::Duration;
 
-/// Obs counters are process-global; serialize the tests that measure
-/// deltas against them.
+/// Obs counters and the server thread names are process-global:
+/// every test here holds this lock while its server is up, so deltas
+/// and thread counts see one server at a time.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn event_loop_config() -> ServerConfig {
-    ServerConfig {
-        transport: Transport::EventLoop,
-        ..Default::default()
-    }
-}
 
 #[test]
 fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
@@ -35,7 +29,7 @@ fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
         workers: 1,
         queue_depth: 1,
         slow_route: true,
-        ..event_loop_config()
+        ..Default::default()
     })
     .expect("bind");
     let addr = server.addr();
@@ -56,8 +50,7 @@ fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
     std::thread::sleep(Duration::from_millis(150));
 
     // The next request must be shed: per-request 503 + Retry-After, and
-    // — unlike the threaded transport, which rejects whole connections at
-    // accept — the connection stays open for a later retry.
+    // the connection stays open for a later retry.
     let mut shed = connect(addr);
     send(&mut shed, "GET", "/v1/healthz", None, false);
     let mut shed_reader = BufReader::new(shed.try_clone().unwrap());
@@ -102,9 +95,10 @@ fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
 
 #[test]
 fn connection_cap_rejects_new_connections_at_accept() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let server = Server::bind(ServerConfig {
         max_connections: 3,
-        ..event_loop_config()
+        ..Default::default()
     })
     .expect("bind");
     let addr = server.addr();
@@ -132,27 +126,40 @@ fn connection_cap_rejects_new_connections_at_accept() {
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_connections_cost_fds_not_threads() {
-    fn thread_count() -> u64 {
-        let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("Threads: line")
+    /// Live server threads, by name: `dvf-serve-io` and
+    /// `dvf-serve-compute-N` (a thread the server spawned unnamed would
+    /// inherit one of those names). The test harness starts and stops
+    /// threads of its own, so the process-wide count would race them;
+    /// under [`SERIAL`] this test's server is the only one alive.
+    fn server_threads() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("proc tasks")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("dvf-serve-"))
+            .count()
     }
 
-    let server = Server::bind(event_loop_config()).expect("bind");
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let server = Server::bind(ServerConfig::default()).expect("bind");
     let addr = server.addr();
     // Let the transport finish spawning, then baseline.
     let reply = request(addr, "GET", "/v1/healthz", None);
     assert_eq!(reply.status, 200);
-    let before = thread_count();
+    // A thread names itself once first scheduled: wait until the I/O
+    // thread and every compute worker carry their names.
+    let spawned = 1 + ServerConfig::default().workers;
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server_threads() < spawned && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let before = server_threads();
+    assert_eq!(before, spawned, "I/O thread + compute workers");
 
     const IDLE: usize = 300;
     let idle = dvf_serve::loadgen::open_idle(addr, IDLE).expect("open idle connections");
     std::thread::sleep(Duration::from_millis(300));
 
-    let after = thread_count();
+    let after = server_threads();
     assert_eq!(
         after, before,
         "{IDLE} idle connections must not grow the thread count"
@@ -184,7 +191,8 @@ fn idle_connections_cost_fds_not_threads() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let server = Server::bind(event_loop_config()).expect("bind");
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let server = Server::bind(ServerConfig::default()).expect("bind");
     let mut conn = connect(server.addr());
 
     // Two requests in one write; the loop parses the second out of the

@@ -1,7 +1,7 @@
 //! End-to-end tests against a live server on an ephemeral port: the full
 //! parse → register → dvf → sweep workflow, every rejection path the API
-//! promises (400/404/405/413/422/503), panic isolation, keep-alive, and
-//! graceful shutdown.
+//! promises (400/404/405/413/422), panic isolation, keep-alive, and
+//! graceful shutdown. Overload (503) lives in `tests/overload.rs`.
 
 mod common;
 
@@ -218,67 +218,26 @@ fn missing_session_is_404() {
 }
 
 #[test]
-fn full_queue_turns_connections_away_with_503() {
-    // One worker, one queue slot. Parking the worker on an idle
-    // keep-alive connection and queueing a second leaves no room: the
-    // next arrivals must be told to retry, not silently parked. This
-    // overload shape is specific to the threaded transport, where an
-    // idle keep-alive connection pins a worker; the event loop parks
-    // idle connections for free, and its overload behaviour is covered
-    // by tests/overload.rs.
-    let server = Server::bind(ServerConfig {
-        transport: dvf_serve::Transport::Threaded,
-        workers: 1,
-        queue_depth: 1,
-        read_timeout: Duration::from_secs(2),
-        ..Default::default()
-    })
-    .expect("bind");
-    let addr = server.addr();
-
-    // Occupy the worker: complete one request, keep the connection open.
-    let mut busy = connect(addr);
-    send(&mut busy, "GET", "/v1/healthz", None, false);
-    let mut busy_reader = BufReader::new(busy.try_clone().unwrap());
-    let reply = read_reply(&mut busy_reader);
-    assert_eq!(reply.status, 200);
-    std::thread::sleep(Duration::from_millis(50));
-
-    // Fill the queue slot.
-    let queued = connect(addr);
-    std::thread::sleep(Duration::from_millis(50));
-
-    // Now at least one extra connection must be bounced with 503. The
-    // rejection is written at accept time (before any request bytes), so
-    // just connect and read. A connection that sneaks into the queue
-    // instead produces a read timeout below; keep it open (holding its
-    // slot) and try again.
-    let mut saw_503 = false;
-    let mut queued_extras = Vec::new();
-    for _ in 0..4 {
-        use std::io::Read;
-        let mut extra = connect(addr);
-        extra
-            .set_read_timeout(Some(Duration::from_millis(1000)))
-            .unwrap();
-        let mut raw = String::new();
-        match extra.read_to_string(&mut raw) {
-            Ok(_) if raw.starts_with("HTTP/1.1 503") => {
-                assert!(raw.contains("Retry-After: 1"), "{raw}");
-                assert!(raw.contains("\"overloaded\""), "{raw}");
-                saw_503 = true;
-                break;
-            }
-            _ => queued_extras.push(extra),
-        }
-    }
-    assert!(saw_503, "no connection was rejected while overloaded");
-
-    // Close every idle connection *before* draining, so shutdown does
-    // not have to wait out their read timeouts.
-    drop(queued_extras);
-    drop(queued);
-    drop(busy);
+fn peer_eof_mid_body_is_400_and_between_requests_is_silent() {
+    use std::io::{Read, Write};
+    let server = spawn_default();
+    // EOF after a complete header but before the declared body: the
+    // client still hears why its request was dropped.
+    let mut truncated = connect(server.addr());
+    truncated
+        .write_all(b"POST /v1/parse HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+        .unwrap();
+    truncated.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    truncated.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    assert!(raw.contains("truncated_body"), "{raw}");
+    // EOF with nothing buffered is a clean close: no answer at all.
+    let mut idle = connect(server.addr());
+    idle.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    idle.read_to_string(&mut raw).unwrap();
+    assert_eq!(raw, "");
     server.shutdown();
 }
 

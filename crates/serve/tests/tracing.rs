@@ -240,7 +240,6 @@ fn queue_wait_is_a_traced_phase_on_the_event_loop() {
     // phase in its trace even though I/O and compute ran on different
     // threads (the trace is begun backdated at the handoff).
     let server = Server::bind(ServerConfig {
-        transport: dvf_serve::Transport::EventLoop,
         workers: 1,
         slow_route: true,
         ..Default::default()

@@ -33,9 +33,8 @@
 use dvf_cachesim::binio::{TraceReader, DEFAULT_CHUNK};
 use dvf_cachesim::{
     simulate_hierarchy_config, simulate_many_with_threads, CacheConfig, CacheStats, DsRegistry,
-    Fifo, HierarchyConfig, HierarchyReport, InclusionPolicy, LevelSpec, Lru, PolicyKind,
-    RandomEvict, ReplacementPolicy, SimJob, SimReport, Simulator, Trace, TreePlru,
-    MAX_PREFETCH_DEGREE,
+    HierarchyConfig, HierarchyReport, InclusionPolicy, LevelSpec, PolicyKind, SimJob, SimReport,
+    Simulator, Trace, MAX_PREFETCH_DEGREE,
 };
 use dvf_kernels::{
     barnes_hut, cg, fft, mc, mg, record_fanout, record_hierarchy_fanout, vm, Recorder,
@@ -715,15 +714,13 @@ fn replay_single(
     policy: PolicyKind,
     quiet: bool,
 ) -> Result<(SimReport, DsRegistry), String> {
-    fn go_stream<P: ReplacementPolicy, R: Read>(
-        mut reader: TraceReader<R>,
-        config: CacheConfig,
-        policy: P,
-        quiet: bool,
-    ) -> Result<(SimReport, DsRegistry), String> {
+    let mut sim = Simulator::with_policy(config, policy);
+    let mut hb = Heartbeat::new("simtrace", HEARTBEAT_EVERY).quiet(quiet);
+    let registry = if is_binary(path).map_err(|e| format!("cannot read {path}: {e}"))? {
+        let f = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let mut reader =
+            TraceReader::new(BufReader::new(f)).map_err(|e| format!("bad binary trace: {e}"))?;
         let registry = reader.registry().clone();
-        let mut sim = Simulator::with_policy(config, policy);
-        let mut hb = Heartbeat::new("simtrace", HEARTBEAT_EVERY).quiet(quiet);
         let mut chunk = Vec::new();
         loop {
             let n = reader
@@ -735,51 +732,20 @@ fn replay_single(
             sim.run(&chunk);
             hb.tick(n as u64);
         }
-        if hb.seen() >= HEARTBEAT_EVERY {
-            hb.done();
-        }
-        Ok((sim.finish(), registry))
-    }
-
-    fn go_mem<P: ReplacementPolicy>(
-        trace: &Trace,
-        config: CacheConfig,
-        policy: P,
-        quiet: bool,
-    ) -> SimReport {
-        let mut sim = Simulator::with_policy(config, policy);
-        let mut hb = Heartbeat::new("simtrace", HEARTBEAT_EVERY).quiet(quiet);
+        registry
+    } else {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let trace = Trace::from_text(&text).map_err(|e| format!("bad trace: {e}"))?;
         for chunk in trace.refs.chunks(DEFAULT_CHUNK) {
             sim.run(chunk);
             hb.tick(chunk.len() as u64);
         }
-        if hb.seen() >= HEARTBEAT_EVERY {
-            hb.done();
-        }
-        sim.finish()
+        trace.registry
+    };
+    if hb.seen() >= HEARTBEAT_EVERY {
+        hb.done();
     }
-
-    if is_binary(path).map_err(|e| format!("cannot read {path}: {e}"))? {
-        let f = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let reader =
-            TraceReader::new(BufReader::new(f)).map_err(|e| format!("bad binary trace: {e}"))?;
-        match policy {
-            PolicyKind::Lru => go_stream(reader, config, Lru, quiet),
-            PolicyKind::Fifo => go_stream(reader, config, Fifo, quiet),
-            PolicyKind::Plru => go_stream(reader, config, TreePlru, quiet),
-            PolicyKind::Random => go_stream(reader, config, RandomEvict::default(), quiet),
-        }
-    } else {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let trace = Trace::from_text(&text).map_err(|e| format!("bad trace: {e}"))?;
-        let report = match policy {
-            PolicyKind::Lru => go_mem(&trace, config, Lru, quiet),
-            PolicyKind::Fifo => go_mem(&trace, config, Fifo, quiet),
-            PolicyKind::Plru => go_mem(&trace, config, TreePlru, quiet),
-            PolicyKind::Random => go_mem(&trace, config, RandomEvict::default(), quiet),
-        };
-        Ok((report, trace.registry))
-    }
+    Ok((sim.finish(), registry))
 }
 
 /// Write a cache geometry as `"config": {...}` fields.
