@@ -16,6 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dvf::core::gridplan::{Assignment, ChunkPlan, GridSpec};
+use dvf::core::sweep::{grid_point, par_map};
 use dvf::core::workflow::DvfWorkflow;
 use dvf::serve::coordinator::{self, CoordinatorConfig, DistReport, RowOutcome, SweepJob};
 use std::hint::black_box;
@@ -118,36 +119,19 @@ fn job() -> SweepJob {
 
 fn plan_for(grid: &GridSpec, shards: usize, assignment: Assignment) -> ChunkPlan {
     let wf = DvfWorkflow::parse(MODEL).expect("model parses");
+    let names = grid.names();
     ChunkPlan::plan(grid, shards, CHUNK_POINTS, assignment, |idx| {
-        let coords = grid.point(idx);
-        let point: Vec<(&str, f64)> = grid
-            .dims()
-            .iter()
-            .zip(&coords)
-            .map(|((name, _), v)| (name.as_str(), *v))
-            .collect();
-        wf.point_fingerprint(&point).unwrap_or(0)
+        wf.point_fingerprint(&grid_point(&[], &names, &grid.point(idx)))
+            .unwrap_or(0)
     })
 }
 
 fn local_rows(grid: &GridSpec) -> Vec<RowOutcome> {
     let wf = DvfWorkflow::parse(MODEL).expect("model parses");
+    let names = grid.names();
     let indices: Vec<usize> = (0..grid.len()).collect();
-    dvf::core::sweep::par_map(&indices, |&idx| {
-        let coords = grid.point(idx);
-        let point: Vec<(&str, f64)> = grid
-            .dims()
-            .iter()
-            .zip(&coords)
-            .map(|((name, _), v)| (name.as_str(), *v))
-            .collect();
-        match wf.evaluate(&point) {
-            Ok(report) => RowOutcome::Ok {
-                time_s: report.time_s,
-                dvf_app: report.dvf_app(),
-            },
-            Err(e) => RowOutcome::Err(e.to_string()),
-        }
+    par_map(&indices, |&idx| {
+        wf.evaluate_point(&[], &names, &grid.point(idx))
     })
 }
 

@@ -1,17 +1,13 @@
 //! Memo-cache contention: warm-hit throughput as threads are added,
-//! labeled with the active stripe count.
-//!
-//! The stripe count is fixed at the cache's first use and read from
-//! `DVF_MEMO_STRIPES` (default 16), so the single-mutex baseline is a
-//! separate process, not a separate benchmark id:
+//! labeled with the cache's stripe count (a fixed 16).
 //!
 //! ```text
-//! DVF_MEMO_STRIPES=1  cargo bench -p dvf-bench --bench memo_contention
-//! DVF_MEMO_STRIPES=16 cargo bench -p dvf-bench --bench memo_contention
+//! cargo bench -p dvf-bench --bench memo_contention
 //! ```
 //!
 //! The startup report prints aggregate ops/s per thread count (the
-//! numbers `BENCH_serve.json` records); the criterion rows then time the
+//! numbers `BENCH_serve.json` records, next to the stripes=1 vs 16
+//! comparison that chose the count); the criterion rows then time the
 //! single-threaded hit and miss paths.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items

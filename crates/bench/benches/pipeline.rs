@@ -12,6 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dvf_cachesim::binio::{read_binary, write_binary, write_binary_v2, TraceReader, DEFAULT_CHUNK};
 use dvf_cachesim::{simulate_many, CacheConfig, PolicyKind, SimJob, Simulator, Trace};
 use dvf_core::memo;
+use dvf_core::sweep::par_map;
 use dvf_core::workflow::DvfWorkflow;
 use dvf_difftest::workloads;
 use dvf_kernels::{cg, record_fanout, Recorder};
@@ -187,18 +188,19 @@ const SWEEP_SOURCE: &str = r#"
 fn sweep_grid(c: &mut Criterion) {
     let wf = DvfWorkflow::parse(SWEEP_SOURCE).unwrap();
     let values: Vec<f64> = (1..=16).map(|i| i as f64).collect();
+    let sweep = || par_map(&values, |&w| wf.evaluate_point(&[], &["w"], &[w]));
     let mut group = c.benchmark_group("pipeline");
     group.throughput(Throughput::Elements(values.len() as u64));
 
     group.bench_function("sweep/uncached", |b| {
         memo::set_enabled(false);
-        b.iter(|| black_box(wf.sweep_param("w", &values)));
+        b.iter(|| black_box(sweep()));
         memo::set_enabled(true);
     });
     group.bench_function("sweep/cached", |b| {
         memo::set_enabled(true);
         memo::clear();
-        b.iter(|| black_box(wf.sweep_param("w", &values)));
+        b.iter(|| black_box(sweep()));
     });
     group.finish();
 }

@@ -14,11 +14,15 @@
 //! miss path computed and stored, so cached and uncached sweeps are
 //! bit-identical (asserted by the property tests in `tests/memo_sweep.rs`).
 //! Hits and misses are counted in `dvf-obs` under `sweep.cache.hit` /
-//! `sweep.cache.miss`.
+//! `sweep.cache.miss`. A miss is the lookup that populated its entry:
+//! when two threads race on one absent key, both compute, the first to
+//! insert counts the miss, and the other counts a hit and returns the
+//! stored value. Miss counts therefore equal populated entries whatever
+//! the thread timing. Errors are never cached and count as misses.
 //!
 //! ## Striping
 //!
-//! The cache is striped: keys are routed to one of [`stripe_count`]
+//! The cache is striped: keys are routed to one of 16 ([`stripe_count`])
 //! independent `Mutex<HashMap>` shards by key hash, so concurrent sweeps
 //! (the `dvf-serve` worker pool, `par_map` fan-outs) contend only when
 //! they touch the same stripe instead of serializing on one process-wide
@@ -31,10 +35,11 @@
 //! never funnels through a single lock either.
 
 use crate::patterns::{CacheView, ModelError};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, Once};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 /// Hashable identity of a [`CacheView`]: geometry plus the exact bit
 /// pattern of the sharing ratio.
@@ -127,8 +132,8 @@ pub struct EvalKey {
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Default number of lock stripes (cache and template interner alike).
-const DEFAULT_STRIPES: usize = 16;
+/// Number of lock stripes (cache and template interner alike).
+const STRIPES: usize = 16;
 
 /// One shard of the evaluation cache. Hit/miss tallies are bumped under
 /// the same lock that guards the map, so a full-cache snapshot taken with
@@ -165,53 +170,8 @@ impl Striped {
     }
 }
 
-/// Stripe count resolved once at first cache touch: the `DVF_MEMO_STRIPES`
-/// environment variable (clamped to `1..=256`) or [`DEFAULT_STRIPES`].
-/// The override exists for contention experiments (`stripes=1` reproduces
-/// the old single-mutex behaviour in an otherwise identical binary).
-///
-/// A set-but-unparseable value (`0x10`, empty, `sixteen`) used to be
-/// swallowed by an `ok()` chain and silently fall back to the default —
-/// an operator who fat-fingers the variable now gets exactly one stderr
-/// warning (the resolver is called from both the cache and the template
-/// interner, hence the [`Once`]) and can confirm the resolved count via
-/// `/v1/metrics` in `dvf-serve`.
-fn parse_stripes(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok().map(|n| n.clamp(1, 256))
-}
-
-fn configured_stripes() -> usize {
-    match std::env::var("DVF_MEMO_STRIPES") {
-        Ok(raw) => match parse_stripes(&raw) {
-            Some(n) => n,
-            None => {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring invalid DVF_MEMO_STRIPES value `{raw}` \
-                         (expected an integer 1..=256); using {DEFAULT_STRIPES} stripes"
-                    );
-                });
-                DEFAULT_STRIPES
-            }
-        },
-        Err(std::env::VarError::NotUnicode(_)) => {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "warning: ignoring non-unicode DVF_MEMO_STRIPES value; \
-                     using {DEFAULT_STRIPES} stripes"
-                );
-            });
-            DEFAULT_STRIPES
-        }
-        // Unset stays silent: the default is the normal case.
-        Err(std::env::VarError::NotPresent) => DEFAULT_STRIPES,
-    }
-}
-
 static CACHE: LazyLock<Striped> = LazyLock::new(|| Striped {
-    stripes: (0..configured_stripes())
+    stripes: (0..STRIPES)
         .map(|_| Mutex::new(Stripe::default()))
         .collect(),
     hasher: RandomState::new(),
@@ -230,14 +190,12 @@ struct TemplateInterner {
 }
 
 static TEMPLATES: LazyLock<TemplateInterner> = LazyLock::new(|| TemplateInterner {
-    stripes: (0..configured_stripes())
-        .map(|_| Mutex::new(HashMap::new()))
-        .collect(),
+    stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
     hasher: RandomState::new(),
     next_id: AtomicU32::new(0),
 });
 
-/// Number of lock stripes the cache was built with (fixed at first use).
+/// Number of lock stripes the cache is built with (a fixed 16).
 pub fn stripe_count() -> usize {
     CACHE.stripes.len()
 }
@@ -285,7 +243,8 @@ pub fn len() -> usize {
 pub struct CacheStats {
     /// Lifetime lookup hits.
     pub hits: u64,
-    /// Lifetime lookup misses (each populated one entry).
+    /// Lifetime lookup misses: each populated one entry, except a failed
+    /// evaluation, which is never cached.
     pub misses: u64,
     /// Evaluations currently resident.
     pub entries: u64,
@@ -348,7 +307,8 @@ pub fn intern_template(refs: &[u64]) -> TemplateId {
 /// Evaluate a pattern model through the cache: return the stored value on
 /// a hit, otherwise run `compute`, store an `Ok` result, and return it.
 /// Model errors are never cached (they are cheap — validation fails before
-/// any combinatorics run).
+/// any combinatorics run). See the module docs for how a race on one
+/// absent key is tallied.
 pub fn evaluate(
     key: EvalKey,
     compute: impl FnOnce() -> Result<f64, ModelError>,
@@ -365,16 +325,29 @@ pub fn evaluate(
             dvf_obs::add("sweep.cache.hit", 1);
             return Ok(v);
         }
-        guard.misses += 1;
     }
-    dvf_obs::add("sweep.cache.miss", 1);
-    let v = compute()?;
-    stripe
-        .lock()
-        .expect("memo cache poisoned")
-        .map
-        .insert(key, v);
-    Ok(v)
+    let computed = compute();
+    // Tally under the insert lock: the lookup that populates the entry is
+    // the miss; a racer that finds it already populated is a hit and
+    // returns the stored value.
+    let mut guard = stripe.lock().expect("memo cache poisoned");
+    let (result, hit) = match computed {
+        Ok(v) => match guard.map.entry(key) {
+            Entry::Occupied(stored) => (Ok(*stored.get()), true),
+            Entry::Vacant(slot) => (Ok(*slot.insert(v)), false),
+        },
+        Err(e) => (Err(e), false),
+    };
+    let counter = if hit {
+        guard.hits += 1;
+        "sweep.cache.hit"
+    } else {
+        guard.misses += 1;
+        "sweep.cache.miss"
+    };
+    drop(guard);
+    dvf_obs::add(counter, 1);
+    result
 }
 
 /// Convenience: the key of a pattern evaluated under a view.
@@ -510,21 +483,5 @@ mod tests {
         let exclusive = ViewKey::of(&CacheView::exclusive(cfg));
         let shared = ViewKey::of(&CacheView::shared(cfg, 0.25));
         assert_ne!(exclusive, shared);
-    }
-
-    #[test]
-    fn stripe_override_parsing_rejects_what_it_cannot_read() {
-        // The values an operator plausibly exports: plain integers work
-        // (with whitespace tolerated and out-of-range clamped) …
-        assert_eq!(parse_stripes("16"), Some(16));
-        assert_eq!(parse_stripes(" 8 "), Some(8));
-        assert_eq!(parse_stripes("0"), Some(1));
-        assert_eq!(parse_stripes("9999"), Some(256));
-        // … while the historically-silent failure modes now surface as
-        // `None`, which `configured_stripes` turns into a warning.
-        assert_eq!(parse_stripes("0x10"), None);
-        assert_eq!(parse_stripes(""), None);
-        assert_eq!(parse_stripes("sixteen"), None);
-        assert_eq!(parse_stripes("-4"), None);
     }
 }

@@ -7,9 +7,57 @@
 //! * **Generic parallel sweeps**: fan a pure function over a parameter
 //!   grid across threads — used by the figure harness to sweep problem
 //!   sizes and cache configurations.
+//!
+//! It also owns the one sweep-grid row, [`RowOutcome`]: what every
+//! sweep path (`dvf sweep`, local or sharded, and the `dvf-serve` sweep
+//! endpoints) keeps per grid point. The per-point evaluator that
+//! produces it is [`crate::workflow::DvfWorkflow::evaluate_point`].
 
-use crate::dvf;
+use crate::dvf::{self, DvfReport};
 use crate::fit::{EccScheme, FitRate};
+use crate::workflow::WorkflowError;
+
+/// One sweep-grid row: the `(time_s, dvf_app)` a grid point evaluated
+/// to, or the display text of its evaluation error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowOutcome {
+    /// Successful evaluation.
+    Ok {
+        /// Modeled execution time in seconds.
+        time_s: f64,
+        /// Application-level DVF.
+        dvf_app: f64,
+    },
+    /// The evaluation failed; the string is the [`WorkflowError`]
+    /// display text.
+    Err(String),
+}
+
+impl From<Result<DvfReport, WorkflowError>> for RowOutcome {
+    fn from(result: Result<DvfReport, WorkflowError>) -> Self {
+        match result {
+            Ok(report) => RowOutcome::Ok {
+                time_s: report.time_s,
+                dvf_app: report.dvf_app(),
+            },
+            Err(e) => RowOutcome::Err(e.to_string()),
+        }
+    }
+}
+
+/// The overrides one grid point resolves with: the `fixed` overrides,
+/// then each swept dimension paired with its coordinate.
+pub fn grid_point<'a>(
+    fixed: &'a [(String, f64)],
+    dims: &[&'a str],
+    coords: &[f64],
+) -> Vec<(&'a str, f64)> {
+    fixed
+        .iter()
+        .map(|(k, v)| (k.as_str(), *v))
+        .chain(dims.iter().copied().zip(coords.iter().copied()))
+        .collect()
+}
 
 /// One point of the ECC trade-off curve.
 #[derive(Debug, Clone, Copy, PartialEq)]

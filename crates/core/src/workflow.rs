@@ -19,6 +19,7 @@ use crate::memo;
 use crate::patterns::{
     CacheView, InterferenceScenario, ModelError, RandomSpec, ReuseSpec, StreamingSpec, TemplateSpec,
 };
+use crate::sweep::RowOutcome;
 use crate::timemodel::{MachineModel, ResourceDemand};
 use dvf_aspen::{
     AppSpec, Diagnostic, EccKind, MachineSpec, OrderStepSpec, PatternSpec, Resolver, ReuseScenario,
@@ -790,8 +791,8 @@ pub fn evaluate_source(
 /// parameter grid only needs to re-*resolve* and re-*evaluate*, and the
 /// pattern evaluations themselves are memoized process-wide
 /// ([`crate::memo`]), so grid points that share pattern parameters cost a
-/// hash lookup. [`DvfWorkflow::sweep_param`] additionally fans the grid
-/// across worker threads with [`crate::sweep::par_map`].
+/// hash lookup. [`DvfWorkflow::evaluate_point`] is the per-grid-point
+/// step every sweep path shares.
 #[derive(Debug, Clone)]
 pub struct DvfWorkflow {
     doc: dvf_aspen::Document,
@@ -833,19 +834,42 @@ impl DvfWorkflow {
         self
     }
 
+    /// Resolve the selected machine and model with `overrides`.
+    fn resolve(&self, overrides: &[(&str, f64)]) -> Result<(MachineSpec, AppSpec), WorkflowError> {
+        let mut resolver = Resolver::new(&self.doc);
+        for (k, v) in overrides {
+            resolver = resolver.set_param(k, *v);
+        }
+        let machine = resolver.machine(self.machine_name.as_deref())?;
+        let app = resolver.model(self.model_name.as_deref())?;
+        Ok((machine, app))
+    }
+
     /// Resolve with `overrides` and evaluate the full Fig. 3 pipeline.
     pub fn evaluate(&self, overrides: &[(&str, f64)]) -> Result<DvfReport, WorkflowError> {
         let _workflow = dvf_obs::span("workflow");
-        let (machine, app) = dvf_obs::span_scope("resolve", || {
-            let mut resolver = Resolver::new(&self.doc);
-            for (k, v) in overrides {
-                resolver = resolver.set_param(k, *v);
-            }
-            let machine = resolver.machine(self.machine_name.as_deref())?;
-            let app = resolver.model(self.model_name.as_deref())?;
-            Ok::<_, WorkflowError>((machine, app))
-        })?;
+        let (machine, app) = dvf_obs::span_scope("resolve", || self.resolve(overrides))?;
         evaluate_with(&app, &machine, self.predictor.as_deref())
+    }
+
+    /// Evaluate one sweep-grid point: resolve with the `fixed` overrides
+    /// plus each of `dims` set to its coordinate in `coords`
+    /// ([`crate::sweep::grid_point`]), keeping `(time_s, dvf_app)` or
+    /// the error text.
+    ///
+    /// Every sweep path evaluates its grid points through this one call;
+    /// the caller picks the parallelism (e.g. [`crate::sweep::par_map`]
+    /// over the points). The memoized pattern cache is shared across
+    /// threads, so pattern evaluations repeated between grid points are
+    /// computed once.
+    pub fn evaluate_point(
+        &self,
+        fixed: &[(String, f64)],
+        dims: &[&str],
+        coords: &[f64],
+    ) -> RowOutcome {
+        self.evaluate(&crate::sweep::grid_point(fixed, dims, coords))
+            .into()
     }
 
     /// Resolve with `overrides` and run the per-level hierarchy pipeline
@@ -856,30 +880,8 @@ impl DvfWorkflow {
         hierarchy: &HierarchyConfig,
     ) -> Result<HierarchyDvf, WorkflowError> {
         let _workflow = dvf_obs::span("workflow");
-        let (machine, app) = dvf_obs::span_scope("resolve", || {
-            let mut resolver = Resolver::new(&self.doc);
-            for (k, v) in overrides {
-                resolver = resolver.set_param(k, *v);
-            }
-            let machine = resolver.machine(self.machine_name.as_deref())?;
-            let app = resolver.model(self.model_name.as_deref())?;
-            Ok::<_, WorkflowError>((machine, app))
-        })?;
+        let (machine, app) = dvf_obs::span_scope("resolve", || self.resolve(overrides))?;
         evaluate_hierarchy(&app, &machine, hierarchy)
-    }
-
-    /// Sweep one parameter over `values` in parallel, preserving order.
-    ///
-    /// Each grid point is an independent resolve + evaluate; the memoized
-    /// pattern cache is shared across workers, so evaluations repeated
-    /// between grid points (patterns the swept parameter does not reach)
-    /// are computed once.
-    pub fn sweep_param(
-        &self,
-        param: &str,
-        values: &[f64],
-    ) -> Vec<Result<DvfReport, WorkflowError>> {
-        crate::sweep::par_map(values, |&v| self.evaluate(&[(param, v)]))
     }
 
     /// Stable memo fingerprint of one sweep point: resolve with
@@ -887,12 +889,7 @@ impl DvfWorkflow {
     /// resolved work ([`memo_fingerprint`]). The distributed sweep
     /// planner routes each grid point to a shard by this value.
     pub fn point_fingerprint(&self, overrides: &[(&str, f64)]) -> Result<u64, WorkflowError> {
-        let mut resolver = Resolver::new(&self.doc);
-        for (k, v) in overrides {
-            resolver = resolver.set_param(k, *v);
-        }
-        let machine = resolver.machine(self.machine_name.as_deref())?;
-        let app = resolver.model(self.model_name.as_deref())?;
+        let (machine, app) = self.resolve(overrides)?;
         memo_fingerprint(&app, &machine)
     }
 

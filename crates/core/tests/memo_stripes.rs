@@ -10,9 +10,9 @@ use dvf_cachesim::CacheConfig;
 use dvf_core::memo::{self, EvalKey, PatternKey};
 use dvf_core::patterns::{CacheView, StreamingSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
-/// The three tests share one process-wide cache; serialize them.
+/// The tests share one process-wide cache; serialize them.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -155,10 +155,47 @@ fn stats_snapshots_are_monotone_while_hammered() {
 }
 
 #[test]
+fn racing_misses_on_one_key_count_one_miss_and_one_hit() {
+    let _guard = serial();
+    memo::set_enabled(true);
+    memo::clear();
+    let start = memo::stats();
+
+    // Both threads must look the key up and miss before either inserts:
+    // each compute closure waits at the barrier until the other one has
+    // started computing too.
+    let n = 4_242_424;
+    let barrier = Barrier::new(2);
+    let results: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let v = view();
+                    memo::evaluate(key_of(n, &v), || {
+                        barrier.wait();
+                        spec(n).mem_accesses(&v)
+                    })
+                    .unwrap()
+                    .to_bits()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(results[0], results[1]);
+
+    // The lookup that populated the entry is the miss; the racer that
+    // found it populated is a hit, so misses equal populated entries.
+    let delta = memo::stats().since(&start);
+    assert_eq!(delta.misses, 1, "{delta:?}");
+    assert_eq!(delta.hits, 1, "{delta:?}");
+    assert_eq!(delta.entries, 1, "{delta:?}");
+}
+
+#[test]
 fn stripe_count_is_fixed_and_positive() {
-    // Default 16 unless DVF_MEMO_STRIPES overrides; either way the count
-    // is in the documented 1..=256 envelope and stable across calls.
-    let n = memo::stripe_count();
-    assert!((1..=256).contains(&n), "{n}");
-    assert_eq!(n, memo::stripe_count());
+    // A fixed 16, stable across calls.
+    assert_eq!(memo::stripe_count(), 16);
+    assert_eq!(memo::stripe_count(), memo::stripe_count());
 }

@@ -7,7 +7,7 @@
 
 use dvf_core::fit::EccScheme;
 use dvf_core::memo;
-use dvf_core::sweep::{degradation_grid, elasticities, EccTradeoff};
+use dvf_core::sweep::{degradation_grid, elasticities, par_map, EccTradeoff};
 use dvf_core::workflow::DvfWorkflow;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -41,10 +41,10 @@ const SOURCE: &str = r#"
     }
 "#;
 
-/// Evaluate a sweep and collapse each report to the exact bit patterns
-/// of its per-structure DVFs (bit equality is the whole point).
+/// Evaluate a parallel sweep and collapse each report to the exact bit
+/// patterns of its per-structure DVFs (bit equality is the whole point).
 fn sweep_bits(wf: &DvfWorkflow, param: &str, values: &[f64]) -> Vec<Vec<u64>> {
-    wf.sweep_param(param, values)
+    par_map(values, |&v| wf.evaluate(&[(param, v)]))
         .into_iter()
         .map(|r| {
             let report = r.expect("sweep point evaluates");

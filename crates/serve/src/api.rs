@@ -41,9 +41,11 @@
 use crate::http::{error_response, Request, Response};
 use crate::jsonval::Json;
 use crate::registry::Session;
+use crate::rows::write_rows;
 use crate::ServeCtx;
 use dvf_cachesim::{CacheConfig, HierarchyConfig, LevelSpec, MAX_PREFETCH_DEGREE};
 use dvf_core::memo;
+use dvf_core::sweep::par_map;
 use dvf_core::workflow::{DvfWorkflow, HierarchyDvf, WorkflowError};
 use dvf_obs::JsonWriter;
 use std::sync::Arc;
@@ -255,9 +257,7 @@ fn metrics_json(ctx: &ServeCtx) -> Response {
         .u64(stats.misses)
         .key("entries")
         .u64(stats.entries)
-        // Resolved lock-stripe count: lets an operator confirm their
-        // `DVF_MEMO_STRIPES` override actually took (an unparseable value
-        // warns once on stderr and falls back to the default).
+        // Memo lock-stripe count (a fixed 16).
         .key("stripes")
         .u64(memo::stripe_count() as u64)
         .end_object();
@@ -974,35 +974,6 @@ fn grid_of(body: &Json) -> Result<Vec<f64>, ApiError> {
         .collect())
 }
 
-/// The per-point `rows` array + `failed` tally, shared between
-/// `/v1/sweep` and `/v1/batch` sweep entries.
-fn write_sweep_rows(
-    w: &mut JsonWriter,
-    values: &[f64],
-    results: &[Result<dvf_core::dvf::DvfReport, WorkflowError>],
-) -> u64 {
-    let mut failed = 0u64;
-    w.key("rows").begin_array();
-    for (v, r) in values.iter().zip(results) {
-        w.begin_object();
-        w.key("value").f64(*v);
-        match r {
-            Ok(report) => {
-                w.key("time_s").f64(report.time_s);
-                w.key("dvf_app").f64(report.dvf_app());
-            }
-            Err(e) => {
-                failed += 1;
-                w.key("error").string(&e.to_string());
-            }
-        }
-        w.end_object();
-    }
-    w.end_array();
-    w.key("failed").u64(failed);
-    failed
-}
-
 fn sweep(body: &Json, ctx: &ServeCtx) -> Response {
     let _sweep = dvf_obs::span("sweep");
     let wf = match resolve_workflow(body, ctx) {
@@ -1034,13 +1005,8 @@ fn sweep(body: &Json, ctx: &ServeCtx) -> Response {
     }
 
     let before = memo::stats();
-    let results = dvf_core::sweep::par_map(&values, |&v| {
-        let mut point: Vec<(&str, f64)> = overrides
-            .iter()
-            .map(|(k, val)| (k.as_str(), *val))
-            .collect();
-        point.push((param, v));
-        wf.workflow().evaluate(&point)
+    let rows = par_map(&values, |&v| {
+        wf.workflow().evaluate_point(&overrides, &[param], &[v])
     });
     let cache = memo::stats().since(&before);
     // Attribute the memo-cache effect to this request's trace as an
@@ -1054,7 +1020,8 @@ fn sweep(body: &Json, ctx: &ServeCtx) -> Response {
     w.key("ok").bool(true);
     w.key("param").string(param);
     w.key("points").u64(values.len() as u64);
-    write_sweep_rows(&mut w, &values, &results);
+    let failed = write_rows(&mut w, &rows, Some(&values));
+    w.key("failed").u64(failed);
     // Cache-effect deltas, named after the obs counters they mirror.
     // Process-wide: concurrent requests' evaluations land in the same
     // tallies, so treat these as indicative under contention.
@@ -1169,15 +1136,8 @@ fn sweepchunk(body: &Json, ctx: &ServeCtx) -> Response {
     let chunk_id = body.get("chunk").and_then(Json::as_u64).unwrap_or(0);
 
     let before = memo::stats();
-    let results = dvf_core::sweep::par_map(&points, |coords| {
-        let mut point: Vec<(&str, f64)> = overrides
-            .iter()
-            .map(|(k, val)| (k.as_str(), *val))
-            .collect();
-        for (dim, v) in dims.iter().zip(coords) {
-            point.push((dim, *v));
-        }
-        wf.workflow().evaluate(&point)
+    let rows = par_map(&points, |coords| {
+        wf.workflow().evaluate_point(&overrides, &dims, coords)
     });
     let cache = memo::stats().since(&before);
     dvf_obs::trace::set_delta("sweep.cache.hit", cache.hits);
@@ -1187,23 +1147,7 @@ fn sweepchunk(body: &Json, ctx: &ServeCtx) -> Response {
     w.key("ok").bool(true);
     w.key("chunk").u64(chunk_id);
     w.key("points").u64(points.len() as u64);
-    let mut failed = 0u64;
-    w.key("rows").begin_array();
-    for r in &results {
-        w.begin_object();
-        match r {
-            Ok(report) => {
-                w.key("time_s").f64(report.time_s);
-                w.key("dvf_app").f64(report.dvf_app());
-            }
-            Err(e) => {
-                failed += 1;
-                w.key("error").string(&e.to_string());
-            }
-        }
-        w.end_object();
-    }
-    w.end_array();
+    let failed = write_rows(&mut w, &rows, None);
     w.key("failed").u64(failed);
     // Per-chunk memo-cache delta. Process-wide tallies: chunks evaluated
     // concurrently on this shard overlap in these windows, so treat the
@@ -1313,15 +1257,11 @@ fn run_entry(work: &BatchWork) -> (String, bool) {
         } => {
             // Points run sequentially within an entry; the batch already
             // parallelises across entries.
-            let results: Vec<_> = values
+            let rows: Vec<_> = values
                 .iter()
                 .map(|&v| {
-                    let mut point: Vec<(&str, f64)> = overrides
-                        .iter()
-                        .map(|(k, val)| (k.as_str(), *val))
-                        .collect();
-                    point.push((param, v));
-                    wf.workflow().evaluate(&point)
+                    wf.workflow()
+                        .evaluate_point(overrides, &[param.as_str()], &[v])
                 })
                 .collect();
             w.begin_object();
@@ -1329,7 +1269,8 @@ fn run_entry(work: &BatchWork) -> (String, bool) {
             w.key("ok").bool(true);
             w.key("param").string(param);
             w.key("points").u64(values.len() as u64);
-            write_sweep_rows(&mut w, values, &results);
+            let failed = write_rows(&mut w, &rows, Some(values));
+            w.key("failed").u64(failed);
             w.end_object();
             true
         }
@@ -1359,7 +1300,7 @@ fn batch(body: &Json, ctx: &ServeCtx) -> Response {
     }
     let prepared: Vec<Result<BatchWork, ApiError>> =
         entries.iter().map(|e| prepare_entry(e, ctx)).collect();
-    let fragments = dvf_core::sweep::par_map(&prepared, |p| match p {
+    let fragments = par_map(&prepared, |p| match p {
         Ok(work) => run_entry(work),
         Err(e) => {
             let mut w = JsonWriter::new();

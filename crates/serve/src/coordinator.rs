@@ -35,6 +35,7 @@
 
 use crate::client::ShardClient;
 use crate::jsonval::Json;
+use crate::rows::decode_rows;
 use dvf_core::gridplan::{Chunk, ChunkPlan, GridSpec};
 use dvf_obs::JsonWriter;
 use std::collections::VecDeque;
@@ -96,20 +97,9 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// One merged grid row: what the shard evaluated for one point.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RowOutcome {
-    /// Successful evaluation.
-    Ok {
-        /// Modeled execution time in seconds.
-        time_s: f64,
-        /// Application-level DVF.
-        dvf_app: f64,
-    },
-    /// The evaluation failed; the string is the `WorkflowError` display
-    /// text (identical to what a local sweep prints).
-    Err(String),
-}
+/// One merged grid row: what the shard evaluated for one point (the
+/// same type a local sweep produces).
+pub use dvf_core::sweep::RowOutcome;
 
 /// Per-shard accounting after a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -708,31 +698,12 @@ fn parse_chunk_reply(
     expect_points: usize,
 ) -> Result<(Vec<RowOutcome>, u64, u64), String> {
     let json = Json::parse(body).map_err(|e| format!("unparseable chunk reply: {e}"))?;
-    let rows = json
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "chunk reply has no `rows` array".to_owned())?;
+    let rows = decode_rows(&json).map_err(|e| format!("chunk reply: {e}"))?;
     if rows.len() != expect_points {
         return Err(format!(
             "chunk reply has {} rows for {expect_points} points",
             rows.len()
         ));
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if let Some(err) = row.get("error").and_then(Json::as_str) {
-            out.push(RowOutcome::Err(err.to_owned()));
-            continue;
-        }
-        let time_s = row
-            .get("time_s")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("row {i} has no numeric `time_s`"))?;
-        let dvf_app = row
-            .get("dvf_app")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("row {i} has no numeric `dvf_app`"))?;
-        out.push(RowOutcome::Ok { time_s, dvf_app });
     }
     let cache_of = |key: &str| {
         json.get("cache")
@@ -741,7 +712,7 @@ fn parse_chunk_reply(
             .unwrap_or(0)
     };
     Ok((
-        out,
+        rows,
         cache_of("sweep.cache.hit"),
         cache_of("sweep.cache.miss"),
     ))

@@ -72,6 +72,7 @@ pub mod jsonval {
 pub mod loadgen;
 pub mod manifest;
 pub mod registry;
+pub mod rows;
 pub mod signal;
 #[cfg(unix)]
 mod sys;

@@ -22,6 +22,7 @@
 
 use crate::coordinator::{ResumeState, RowOutcome};
 use crate::jsonval::Json;
+use crate::rows::{decode_rows, write_rows};
 use dvf_core::gridplan::ChunkPlan;
 use dvf_obs::JsonWriter;
 
@@ -35,21 +36,7 @@ pub fn chunk_line(chunk_id: usize, rows: &[RowOutcome]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("chunk").u64(chunk_id as u64);
-    w.key("rows").begin_array();
-    for row in rows {
-        w.begin_object();
-        match row {
-            RowOutcome::Ok { time_s, dvf_app } => {
-                w.key("time_s").f64(*time_s);
-                w.key("dvf_app").f64(*dvf_app);
-            }
-            RowOutcome::Err(msg) => {
-                w.key("error").string(msg);
-            }
-        }
-        w.end_object();
-    }
-    w.end_array();
+    write_rows(&mut w, rows, None);
     w.end_object();
     w.finish()
 }
@@ -61,27 +48,7 @@ fn parse_chunk_line(line: &str) -> Result<(usize, Vec<RowOutcome>), String> {
         .get("chunk")
         .and_then(Json::as_u64)
         .ok_or("journal line has no `chunk` id")? as usize;
-    let mut out = Vec::new();
-    for row in doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("journal line has no `rows` array")?
-    {
-        if let Some(err) = row.get("error").and_then(Json::as_str) {
-            out.push(RowOutcome::Err(err.to_owned()));
-            continue;
-        }
-        let time_s = row
-            .get("time_s")
-            .and_then(Json::as_f64)
-            .ok_or("journal row has no numeric `time_s`")?;
-        let dvf_app = row
-            .get("dvf_app")
-            .and_then(Json::as_f64)
-            .ok_or("journal row has no numeric `dvf_app`")?;
-        out.push(RowOutcome::Ok { time_s, dvf_app });
-    }
-    Ok((chunk, out))
+    Ok((chunk, decode_rows(&doc)?))
 }
 
 /// Rebuild a [`ResumeState`] from journal text. Duplicate chunk lines

@@ -12,6 +12,7 @@
 mod common;
 
 use dvf_core::gridplan::{Assignment, ChunkPlan, GridSpec};
+use dvf_core::sweep::grid_point;
 use dvf_core::workflow::DvfWorkflow;
 use dvf_serve::coordinator::{self, CoordError, CoordinatorConfig, RowOutcome, SweepJob};
 use dvf_serve::{Server, ServerConfig};
@@ -79,37 +80,18 @@ fn fast_cfg() -> CoordinatorConfig {
 /// must reproduce bit-for-bit.
 fn local_rows(grid: &GridSpec) -> Vec<RowOutcome> {
     let wf = DvfWorkflow::parse(DIST_MODEL).expect("model parses");
+    let names = grid.names();
     (0..grid.len())
-        .map(|idx| {
-            let coords = grid.point(idx);
-            let point: Vec<(&str, f64)> = grid
-                .dims()
-                .iter()
-                .zip(&coords)
-                .map(|((name, _), v)| (name.as_str(), *v))
-                .collect();
-            match wf.evaluate(&point) {
-                Ok(report) => RowOutcome::Ok {
-                    time_s: report.time_s,
-                    dvf_app: report.dvf_app(),
-                },
-                Err(e) => RowOutcome::Err(e.to_string()),
-            }
-        })
+        .map(|idx| wf.evaluate_point(&[], &names, &grid.point(idx)))
         .collect()
 }
 
 fn plan_for(grid: &GridSpec, shards: usize, chunk_points: usize) -> ChunkPlan {
     let wf = DvfWorkflow::parse(DIST_MODEL).expect("model parses");
+    let names = grid.names();
     ChunkPlan::plan(grid, shards, chunk_points, Assignment::MemoAffine, |idx| {
-        let coords = grid.point(idx);
-        let point: Vec<(&str, f64)> = grid
-            .dims()
-            .iter()
-            .zip(&coords)
-            .map(|((name, _), v)| (name.as_str(), *v))
-            .collect();
-        wf.point_fingerprint(&point).unwrap_or(0)
+        wf.point_fingerprint(&grid_point(&[], &names, &grid.point(idx)))
+            .unwrap_or(0)
     })
 }
 

@@ -446,8 +446,11 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
 /// output either way).
 fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
     use dvf::core::gridplan::{Assignment, ChunkPlan, GridSpec};
+    use dvf::core::memo;
+    use dvf::core::sweep::{grid_point, par_map, RowOutcome};
     use dvf::core::workflow::DvfWorkflow;
-    use dvf::serve::coordinator::{self, CoordinatorConfig, RowOutcome, SweepJob};
+    use dvf::serve::coordinator::{self, CoordinatorConfig, SweepJob};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     let mut machine_name: Option<String> = None;
     let mut model_name: Option<String> = None;
@@ -474,7 +477,7 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
                 profile = Some(ProfileFormat::Json);
                 dvf::obs::set_enabled(true);
             }
-            "--no-cache" => dvf::core::memo::set_enabled(false),
+            "--no-cache" => memo::set_enabled(false),
             "--progress" => progress_enabled = true,
             "--machine" => match value(&mut it) {
                 Some(v) => machine_name = Some(v),
@@ -598,56 +601,40 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
         }
     }
 
-    // Each grid point resolves with the fixed overrides plus the swept
-    // coordinates; the memo cache deduplicates pattern evaluations
-    // shared between points.
-    let point_of = |idx: usize| -> Vec<(&str, f64)> {
-        let mut point: Vec<(&str, f64)> = overrides
-            .iter()
-            .map(|(k, val)| (k.as_str(), *val))
-            .collect();
-        for (name, v) in names.iter().zip(grid.point(idx)) {
-            point.push((name, v));
-        }
-        point
-    };
     let emitter = ProgressEmitter::new(progress_enabled);
     let rows: Vec<RowOutcome> = if shard_addrs.is_empty() {
-        let eval_point = |idx: usize| match wf.evaluate(&point_of(idx)) {
-            Ok(report) => RowOutcome::Ok {
-                time_s: report.time_s,
-                dvf_app: report.dvf_app(),
-            },
-            Err(e) => RowOutcome::Err(e.to_string()),
-        };
+        // Each grid point resolves with the fixed overrides plus the
+        // swept coordinates; the memo cache deduplicates pattern
+        // evaluations shared between points. Progress counts finished
+        // points, reported in `--chunk-points` units.
+        let total_chunks = grid.len().div_ceil(chunk_points);
+        let before = memo::stats();
+        let points_done = AtomicUsize::new(0);
         let indices: Vec<usize> = (0..grid.len()).collect();
-        if progress_enabled {
-            // Chunked execution so progress has chunk boundaries to
-            // report at; evaluation is pure, so the rows are identical
-            // to the single-batch path.
-            let before = dvf::core::memo::stats();
-            let total_chunks = grid.len().div_ceil(chunk_points);
-            let mut rows = Vec::with_capacity(grid.len());
-            for (ci, block) in indices.chunks(chunk_points).enumerate() {
-                rows.extend(dvf::core::sweep::par_map(block, |&i| eval_point(i)));
-                let delta = dvf::core::memo::stats().since(&before);
-                emitter.maybe(ci + 1, total_chunks, rows.len(), grid.len(), &delta);
+        let rows = par_map(&indices, |&idx| {
+            let row = wf.evaluate_point(&overrides, &names, &grid.point(idx));
+            if progress_enabled {
+                let done = points_done.fetch_add(1, Ordering::Relaxed) + 1;
+                emitter.maybe(done / chunk_points, total_chunks, done, grid.len(), || {
+                    memo::stats().since(&before)
+                });
             }
-            let delta = dvf::core::memo::stats().since(&before);
-            emitter.finish(total_chunks, total_chunks, grid.len(), grid.len(), &delta);
-            rows
-        } else {
-            dvf::core::sweep::par_map(&indices, |&i| eval_point(i))
-        }
+            row
+        });
+        let delta = memo::stats().since(&before);
+        emitter.finish(total_chunks, total_chunks, grid.len(), grid.len(), &delta);
+        rows
     } else {
         let fresh_plan = || {
             ChunkPlan::plan(&grid, shard_addrs.len(), chunk_points, assignment, |idx| {
-                wf.point_fingerprint(&point_of(idx)).unwrap_or(0)
+                wf.point_fingerprint(&grid_point(&overrides, &names, &grid.point(idx)))
+                    .unwrap_or(0)
             })
         };
         // With --manifest, an existing manifest file *is* the plan: the
         // resumed run replans zero chunks, so the chunk→shard map (and
         // each shard's warm memo cache) is exactly the original one.
+        let mut journal_intact = 0;
         let (plan, resume) = match manifest_path.as_deref() {
             None => (fresh_plan(), None),
             Some(path) => match std::fs::read_to_string(path) {
@@ -675,7 +662,24 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                     let journal = dvf::serve::manifest::journal_path(path);
-                    let journal_text = std::fs::read_to_string(&journal).unwrap_or_default();
+                    let journal_bytes = match std::fs::read(&journal) {
+                        Ok(bytes) => bytes,
+                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                        Err(e) => {
+                            eprintln!("error: cannot read {journal}: {e}");
+                            return ExitCode::FAILURE;
+                        }
+                    };
+                    // Only newline-terminated lines are complete appends.
+                    // The journal is cut back to them before this run
+                    // appends, so a torn tail from a killed run cannot
+                    // glue onto the next line.
+                    let intact = journal_bytes
+                        .iter()
+                        .rposition(|&b| b == b'\n')
+                        .map_or(0, |i| i + 1);
+                    journal_intact = intact as u64;
+                    let journal_text = String::from_utf8_lossy(&journal_bytes[..intact]);
                     let state = match dvf::serve::manifest::load_journal(&journal_text, &plan) {
                         Ok(s) => s,
                         Err(e) => {
@@ -714,6 +718,7 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
                         .create(true)
                         .append(true)
                         .open(&jp)
+                        .and_then(|f| f.set_len(journal_intact).map(|()| f))
                 } else {
                     // Fresh plan: discard any journal left by a deleted
                     // manifest — its chunk ids belong to the old plan.
@@ -752,17 +757,16 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
             .as_ref()
             .map(|f| f as &(dyn Fn(&dvf::core::gridplan::Chunk, &[RowOutcome]) + Sync));
         let progress_cb = |p: &coordinator::Progress| {
-            let delta = dvf::core::memo::CacheStats {
-                hits: p.cache_hits,
-                misses: p.cache_misses,
-                entries: 0,
-            };
             emitter.maybe(
                 p.chunks_done,
                 p.chunks_total,
                 p.points_done,
                 p.points_total,
-                &delta,
+                || memo::CacheStats {
+                    hits: p.cache_hits,
+                    misses: p.cache_misses,
+                    entries: 0,
+                },
             );
         };
         let outcome = coordinator::run_with(
@@ -777,7 +781,7 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
         );
         match outcome {
             Ok(report) => {
-                let delta = dvf::core::memo::CacheStats {
+                let delta = memo::CacheStats {
                     hits: report.cache_hits(),
                     misses: report.cache_misses(),
                     entries: 0,
@@ -873,13 +877,14 @@ impl ProgressEmitter {
     }
 
     /// Emit a progress line if the last one is at least 500 ms old.
+    /// `cache` is only called for a line that is emitted.
     fn maybe(
         &self,
         chunks_done: usize,
         chunks_total: usize,
         points_done: usize,
         points_total: usize,
-        cache: &dvf::core::memo::CacheStats,
+        cache: impl FnOnce() -> dvf::core::memo::CacheStats,
     ) {
         if !self.enabled {
             return;
@@ -894,7 +899,13 @@ impl ProgressEmitter {
             }
             *last = Some(now);
         }
-        self.emit(chunks_done, chunks_total, points_done, points_total, cache);
+        self.emit(
+            chunks_done,
+            chunks_total,
+            points_done,
+            points_total,
+            &cache(),
+        );
     }
 
     /// Unconditionally emit the final progress line.

@@ -381,6 +381,59 @@ fn manifest_resume_replans_and_reexecutes_zero_completed_chunks() {
 }
 
 #[test]
+fn torn_journal_tail_is_cut_before_a_resume_appends() {
+    let model = write_model(MODEL);
+    let model = model.to_str().unwrap();
+    let files = ManifestFiles::new("torn");
+
+    let a = spawn_shard();
+    let b = spawn_shard();
+    let shard_list = format!("{},{}", a.addr, b.addr);
+    let (run1, _) = sweep(model, &shard_list, &["--manifest", &files.manifest]);
+    let journal1 = std::fs::read_to_string(files.journal()).expect("journal written");
+    let lines: Vec<&str> = journal1.lines().collect();
+    let chunk_count = lines.len();
+    assert!(chunk_count >= 3, "{journal1}");
+
+    // A run killed mid-append: the last two chunks are missing, and the
+    // first of them left half a line without its newline.
+    let cut = lines[chunk_count - 2];
+    let torn = &cut[..cut.len() / 2];
+    let kept = lines[..chunk_count - 2].join("\n");
+    std::fs::write(files.journal(), format!("{kept}\n{torn}")).unwrap();
+    let (run2, _) = sweep(model, &shard_list, &["--manifest", &files.manifest]);
+    assert_eq!(run2, run1, "resumed output must be byte-identical");
+
+    // The resume journaled both chunks on lines of their own, so with
+    // the fleet gone a third run merges everything from the journal.
+    drop(a);
+    drop(b);
+    let out = dvf(&[
+        "sweep",
+        model,
+        "--sweep",
+        "fit=1000,5000",
+        "--sweep",
+        "n=100:600:6",
+        "--chunk-points",
+        "2",
+        "--shards",
+        &shard_list,
+        "--manifest",
+        &files.manifest,
+    ]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "offline resume failed:\n{stderr}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), run1);
+    assert!(
+        stderr.contains(&format!(
+            "{chunk_count}/{chunk_count} chunk(s) already complete"
+        )),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn memo_affine_routing_beats_round_robin_hit_rate() {
     let model = write_model(MODEL);
     let model = model.to_str().unwrap();
