@@ -71,6 +71,7 @@ pub use pretty::pretty;
 use expr::Env;
 use machine::{base_env, resolve_machine_def};
 use model::resolve_model_def;
+use std::sync::OnceLock;
 
 /// Resolves parsed documents into concrete specifications, with optional
 /// parameter overrides (the "application/hardware configuration" inputs of
@@ -79,6 +80,9 @@ use model::resolve_model_def;
 pub struct Resolver<'d> {
     doc: &'d Document,
     overrides: Vec<(String, f64)>,
+    /// The document's base environment under `overrides`, built on first
+    /// use and shared by every later `machine` and `model` call.
+    env: OnceLock<Result<Env, Diagnostic>>,
 }
 
 impl<'d> Resolver<'d> {
@@ -87,17 +91,22 @@ impl<'d> Resolver<'d> {
         Self {
             doc,
             overrides: Vec::new(),
+            env: OnceLock::new(),
         }
     }
 
     /// Override a parameter (beats any `param` default of the same name).
     pub fn set_param(mut self, name: &str, value: f64) -> Self {
         self.overrides.push((name.to_owned(), value));
+        self.env = OnceLock::new();
         self
     }
 
-    fn env(&self) -> Result<Env, Diagnostic> {
-        base_env(self.doc, &self.overrides)
+    fn env(&self) -> Result<&Env, Diagnostic> {
+        self.env
+            .get_or_init(|| base_env(self.doc, &self.overrides))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Resolve a machine by name (or the document's only machine).
@@ -112,7 +121,7 @@ impl<'d> Resolver<'d> {
             )
             .with_code("resolve")
         })?;
-        resolve_machine_def(def, &self.env()?).map_err(tag_resolve)
+        resolve_machine_def(def, self.env()?).map_err(tag_resolve)
     }
 
     /// Resolve a model by name (or the document's only model).
@@ -127,7 +136,7 @@ impl<'d> Resolver<'d> {
             )
             .with_code("resolve")
         })?;
-        resolve_model_def(def, &self.env()?).map_err(tag_resolve)
+        resolve_model_def(def, self.env()?).map_err(tag_resolve)
     }
 }
 
@@ -161,6 +170,16 @@ mod tests {
             .model(None)
             .unwrap();
         assert_eq!(big.datas[0].size_bytes, 800 * 800 * 8);
+    }
+
+    #[test]
+    fn an_override_after_a_resolve_rebuilds_the_environment() {
+        let doc =
+            parse("model cg { param n = 100  data A { size = n * 8  element = 8 } }").unwrap();
+        let r = Resolver::new(&doc).set_param("n", 10.0);
+        assert_eq!(r.model(None).unwrap().datas[0].size_bytes, 80);
+        let r = r.set_param("n", 20.0);
+        assert_eq!(r.model(None).unwrap().datas[0].size_bytes, 160);
     }
 
     #[test]

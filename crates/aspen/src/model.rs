@@ -176,11 +176,12 @@ impl AppSpec {
 
 /// Resolve a model definition against a base environment.
 pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnostic> {
-    let mut env = env.clone();
+    // Copied only when a model `param` is not already bound.
+    let mut env = std::borrow::Cow::Borrowed(env);
     for p in &def.params {
         if !env.contains(&p.name.node) {
             let v = eval(&p.value, &env)?;
-            env.set(&p.name.node, v);
+            env.to_mut().set(&p.name.node, v);
         }
     }
 

@@ -125,15 +125,56 @@ pub fn ln_binomial_real(n: f64, k: f64) -> f64 {
 ///
 /// Zero outside the support `max(0, m+k-n) ≤ j ≤ min(k, m)`.
 pub fn hypergeometric_pmf(n: u64, k: u64, m: u64, j: u64) -> f64 {
-    if m > n || k > n {
-        return 0.0;
+    Hypergeometric::new(n, k, m).map_or(0.0, |h| h.pmf(j))
+}
+
+/// The hypergeometric distribution (population `n`, `k` marked, `m`
+/// draws) with the log terms that do not depend on the drawn count —
+/// `ln k!`, `ln (n−k)!` and `ln C(n, m)` — evaluated once.
+///
+/// [`Hypergeometric::pmf`] is [`hypergeometric_pmf`]'s formula with those
+/// terms read back in the same floating-point order, so a loop over `j`
+/// returns bit-identical values for a fraction of the log-gamma calls.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hypergeometric {
+    n: u64,
+    k: u64,
+    m: u64,
+    ln_k_fact: f64,
+    ln_rest_fact: f64,
+    ln_draws: f64,
+}
+
+impl Hypergeometric {
+    /// `None` when the parameters admit no draw (`m > n` or `k > n`);
+    /// every mass is zero then.
+    pub fn new(n: u64, k: u64, m: u64) -> Option<Self> {
+        if m > n || k > n {
+            return None;
+        }
+        Some(Self {
+            n,
+            k,
+            m,
+            ln_k_fact: ln_factorial(k),
+            ln_rest_fact: ln_factorial(n - k),
+            ln_draws: ln_binomial(n, m),
+        })
     }
-    let lo = (m + k).saturating_sub(n);
-    let hi = k.min(m);
-    if j < lo || j > hi {
-        return 0.0;
+
+    /// `P(J = j)`: `C(k, j) · C(n−k, m−j) / C(n, m)`, zero outside the
+    /// support.
+    pub fn pmf(&self, j: u64) -> f64 {
+        let (n, k, m) = (self.n, self.k, self.m);
+        let lo = (m + k).saturating_sub(n);
+        let hi = k.min(m);
+        if j < lo || j > hi {
+            return 0.0;
+        }
+        let ln_marked = self.ln_k_fact - ln_factorial(j) - ln_factorial(k - j);
+        let ln_rest = self.ln_rest_fact - ln_factorial(m - j) - ln_factorial(n - k - (m - j));
+        (ln_marked + ln_rest - self.ln_draws).exp()
     }
-    (ln_binomial(k, j) + ln_binomial(n - k, m - j) - ln_binomial(n, m)).exp()
 }
 
 /// Mean of the hypergeometric distribution: `m * k / n`.
@@ -147,39 +188,81 @@ pub fn hypergeometric_mean(n: u64, k: u64, m: u64) -> f64 {
 
 /// Probability mass of the binomial distribution `B(n, p)` at `j`.
 pub fn binomial_pmf(n: u64, p: f64, j: u64) -> f64 {
-    if j > n {
-        return 0.0;
-    }
-    if p <= 0.0 {
-        return if j == 0 { 1.0 } else { 0.0 };
-    }
-    if p >= 1.0 {
-        return if j == n { 1.0 } else { 0.0 };
-    }
-    (ln_binomial(n, j) + j as f64 * p.ln() + (n - j) as f64 * (1.0 - p).ln()).exp()
+    Binomial::new(n, p).pmf(j)
 }
 
 /// Upper tail of the binomial distribution: `P(X ≥ j)` for `X ~ B(n, p)`.
 pub fn binomial_tail_ge(n: u64, p: f64, j: u64) -> f64 {
-    if j == 0 {
-        return 1.0;
-    }
-    if j > n {
-        return 0.0;
-    }
-    // Direct summation; n here is a footprint in cache blocks (≤ millions),
-    // but the tail beyond j is dominated by terms near n*p, so sum from j.
-    let mut acc = 0.0;
-    for x in j..=n {
-        let t = binomial_pmf(n, p, x);
-        acc += t;
-        // Terms decay geometrically well past the mean; cut off when
-        // negligible and past the mode.
-        if t < 1e-18 && (x as f64) > n as f64 * p + 10.0 {
-            break;
+    Binomial::new(n, p).tail_ge(j)
+}
+
+/// The binomial distribution `B(n, p)` with the log terms that do not
+/// depend on the outcome — `ln n!`, `ln p` and `ln(1−p)` — evaluated once.
+///
+/// Every mass is `((ln n! − ln j! − ln (n−j)!) + j·ln p) + (n−j)·ln(1−p)`
+/// exponentiated, in that order, so summing a distribution through one
+/// `Binomial` is bit-identical to calling [`binomial_pmf`] per term.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Binomial {
+    n: u64,
+    p: f64,
+    ln_n_fact: f64,
+    ln_p: f64,
+    ln_q: f64,
+}
+
+impl Binomial {
+    /// `B(n, p)`; `p` outside `(0, 1)` is the degenerate point mass.
+    pub fn new(n: u64, p: f64) -> Self {
+        Self {
+            n,
+            p,
+            ln_n_fact: ln_factorial(n),
+            ln_p: p.ln(),
+            ln_q: (1.0 - p).ln(),
         }
     }
-    acc.min(1.0)
+
+    /// `P(X = j)`.
+    pub fn pmf(&self, j: u64) -> f64 {
+        let n = self.n;
+        if j > n {
+            return 0.0;
+        }
+        if self.p <= 0.0 {
+            return if j == 0 { 1.0 } else { 0.0 };
+        }
+        if self.p >= 1.0 {
+            return if j == n { 1.0 } else { 0.0 };
+        }
+        let ln_choose = self.ln_n_fact - ln_factorial(j) - ln_factorial(n - j);
+        (ln_choose + j as f64 * self.ln_p + (n - j) as f64 * self.ln_q).exp()
+    }
+
+    /// `P(X ≥ j)`.
+    pub fn tail_ge(&self, j: u64) -> f64 {
+        let n = self.n;
+        if j == 0 {
+            return 1.0;
+        }
+        if j > n {
+            return 0.0;
+        }
+        // Direct summation; n here is a footprint in cache blocks (≤
+        // millions), but the tail beyond j is dominated by terms near n*p,
+        // so sum from j.
+        let mut acc = 0.0;
+        for x in j..=n {
+            let t = self.pmf(x);
+            acc += t;
+            // Terms decay geometrically well past the mean; cut off when
+            // negligible and past the mode.
+            if t < 1e-18 && (x as f64) > n as f64 * self.p + 10.0 {
+                break;
+            }
+        }
+        acc.min(1.0)
+    }
 }
 
 #[cfg(test)]

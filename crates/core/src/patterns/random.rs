@@ -7,7 +7,7 @@
 //! *not* resident follows the hypergeometric distribution of Eq. 5.
 
 use super::{CacheView, ModelError};
-use crate::comb::{hypergeometric_mean, hypergeometric_pmf};
+use crate::comb::{hypergeometric_mean, Hypergeometric};
 
 /// Specification of a random access pattern, matching the paper's Aspen
 /// parameter tuple `(N, E, k, iter, r)` — e.g. `{(1000, 32, 200, 1000,
@@ -132,11 +132,14 @@ pub fn expected_not_in_cache(n: u64, k: u64, m: u64) -> f64 {
     }
     // X = k - j where j ~ Hypergeom(population n, marked k, draws m) counts
     // the visited elements that are resident.
+    let Some(resident) = Hypergeometric::new(n, k, m) else {
+        return 0.0;
+    };
     let hi = (n - m).min(k);
     let mut acc = 0.0;
     for x in 1..=hi {
         let j = k - x;
-        acc += x as f64 * hypergeometric_pmf(n, k, m, j);
+        acc += x as f64 * resident.pmf(j);
     }
     acc
 }

@@ -25,7 +25,7 @@
 //! plus, per reuse, the blocks that no longer reside anywhere.
 
 use super::{CacheView, ModelError};
-use crate::comb::{binomial_pmf, binomial_tail_ge, ln_binomial_real};
+use crate::comb::{ln_binomial_real, Binomial};
 
 /// Which of the paper's two interference scenarios applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -81,12 +81,12 @@ impl ReuseSpec {
     /// Returns `P(X = x)` for `x = 0..=CA`.
     pub fn footprint_distribution(f: u64, cache: &CacheView) -> Vec<f64> {
         let ca = cache.config.associativity as u64;
-        let p = 1.0 / cache.config.num_sets as f64;
+        let blocks_in_set = Binomial::new(f, 1.0 / cache.config.num_sets as f64);
         let mut dist = Vec::with_capacity(ca as usize + 1);
         for x in 0..ca {
-            dist.push(binomial_pmf(f, p, x));
+            dist.push(blocks_in_set.pmf(x));
         }
-        dist.push(binomial_tail_ge(f, p, ca));
+        dist.push(blocks_in_set.tail_ge(ca));
         dist
     }
 
@@ -99,21 +99,22 @@ impl ReuseSpec {
             .sum()
     }
 
-    /// `E(R_A | X_A = x, X_B = y)` for the chosen scenario.
+    /// `E(R_A | X_A = x, X_B = y)`, where `combined_i` is Eq. 12's `I`
+    /// under the concurrent scenario and `None` under the exclusive one.
     ///
     /// * Exclusive (Eq. 11): `x` if the set doesn't overflow, else `CA − y`.
     /// * Concurrent (Eq. 12): hypergeometric eviction out of the expected
     ///   combined residency `I`.
-    fn conditional_resident(&self, x: u64, y: u64, ca: u64, combined_i: f64) -> f64 {
-        match self.scenario {
-            InterferenceScenario::Exclusive => {
+    fn conditional_resident(x: u64, y: u64, ca: u64, combined_i: Option<f64>) -> f64 {
+        match combined_i {
+            None => {
                 if x + y <= ca {
                     x as f64
                 } else {
                     (ca.saturating_sub(y)) as f64
                 }
             }
-            InterferenceScenario::Concurrent => expected_after_uniform_eviction(x, y, combined_i),
+            Some(i) => expected_after_uniform_eviction(x, y, i),
         }
     }
 
@@ -128,8 +129,9 @@ impl ReuseSpec {
         let dist_a = Self::footprint_distribution(fa, cache);
         let dist_b = Self::footprint_distribution(fb, cache);
         // Eq. 12's `I`: expected combined per-set residency, treating A and
-        // B as one structure.
-        let combined_i = Self::expected_exclusive(fa + fb, cache).min(ca as f64);
+        // B as one structure. Only the concurrent scenario reads it.
+        let combined_i = (self.scenario == InterferenceScenario::Concurrent)
+            .then(|| Self::expected_exclusive(fa + fb, cache).min(ca as f64));
 
         // Eqs. 13–15: E(R_A) = Σ_{x,y} E(R_A|x,y) P(X_A=x) P(X_B=y).
         let mut expected_resident = 0.0;
@@ -142,7 +144,7 @@ impl ReuseSpec {
                     continue;
                 }
                 expected_resident +=
-                    pa * pb * self.conditional_resident(x as u64, y as u64, ca, combined_i);
+                    pa * pb * Self::conditional_resident(x as u64, y as u64, ca, combined_i);
             }
         }
 

@@ -15,7 +15,6 @@
 //! capacity. Computed in `O(L log L)` with a Fenwick tree.
 
 use super::{CacheView, ModelError};
-use std::collections::HashMap;
 
 /// Specification of a template-based access: the element size plus the
 /// element-granular reference template (already expanded; the Aspen
@@ -103,16 +102,11 @@ impl TemplateSpec {
         if repeat == 0 {
             return Ok(0.0);
         }
-        let first = self.breakdown(cache)?.total;
-        if repeat == 1 {
-            return Ok(first as f64);
-        }
         let blocks = self.block_references(cache.line_bytes());
-        let mut doubled = Vec::with_capacity(blocks.len() * 2);
-        doubled.extend_from_slice(&blocks);
-        doubled.extend_from_slice(&blocks);
-        let two = count_template_misses(&doubled, cache.effective_blocks()).total;
-        let steady = two - first;
+        let passes = if repeat == 1 { 1 } else { 2 };
+        let totals = count_template_passes(&blocks, cache.effective_blocks(), passes);
+        let first = totals[0].total;
+        let steady = totals.get(1).map_or(0, |two| two.total - first);
         Ok(first as f64 + steady as f64 * (repeat - 1) as f64)
     }
 }
@@ -122,20 +116,62 @@ impl TemplateSpec {
 /// `capacity_blocks` is the "maximum available cache capacity" of step 2,
 /// in blocks (fractional capacities arise from cache-sharing ratios).
 pub fn count_template_misses(blocks: &[u64], capacity_blocks: f64) -> TemplateBreakdown {
+    count_template_passes(blocks, capacity_blocks, 1)[0]
+}
+
+/// The two-step algorithm over `passes` back-to-back passes of a
+/// block-granular template: entry `i` holds the cumulative counts after
+/// pass `i + 1`.
+///
+/// One walk serves every pass. The stack-distance counter is causal, so
+/// the counts at the end of a pass equal those of a walk over only the
+/// passes so far.
+pub fn count_template_passes(
+    blocks: &[u64],
+    capacity_blocks: f64,
+    passes: usize,
+) -> Vec<TemplateBreakdown> {
+    let mut ids = blocks.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    let distinct = ids.len() as u64;
+
+    // A stack distance counts other distinct blocks, so it never exceeds
+    // `distinct − 1`: when that is below the capacity no re-reference
+    // misses, and the cold misses are the whole answer.
+    if (distinct.saturating_sub(1) as f64) < capacity_blocks {
+        let fits = TemplateBreakdown {
+            cold_misses: distinct,
+            capacity_misses: 0,
+            total: distinct,
+        };
+        return vec![fits; passes];
+    }
+
     let mut cold = 0u64;
     let mut capacity = 0u64;
+    let mut totals = Vec::with_capacity(passes);
 
     // Fenwick tree over reference positions; a 1 marks the *latest*
-    // position of each currently-tracked distinct block.
-    let mut bit = Fenwick::new(blocks.len());
-    let mut last_pos: HashMap<u64, usize> = HashMap::new();
+    // position of each distinct block seen so far. `last_pos` is indexed
+    // by the block's rank among the distinct blocks.
+    let mut bit = Fenwick::new(blocks.len() * passes);
+    let mut last_pos = vec![usize::MAX; ids.len()];
+    let ranks: Vec<usize> = blocks
+        .iter()
+        .map(|b| {
+            ids.binary_search(b)
+                .expect("every block is among the distinct blocks")
+        })
+        .collect();
 
-    for (t, &b) in blocks.iter().enumerate() {
-        match last_pos.get(&b).copied() {
-            None => {
+    for pass in 0..passes {
+        for (i, &rank) in ranks.iter().enumerate() {
+            let t = pass * blocks.len() + i;
+            let prev = last_pos[rank];
+            if prev == usize::MAX {
                 cold += 1;
-            }
-            Some(prev) => {
+            } else {
                 // Distinct blocks referenced strictly between prev and t:
                 // count of marked positions in (prev, t).
                 let distance = bit.prefix_sum(t) - bit.prefix_sum(prev + 1);
@@ -144,16 +180,16 @@ pub fn count_template_misses(blocks: &[u64], capacity_blocks: f64) -> TemplateBr
                 }
                 bit.add(prev + 1, -1);
             }
+            bit.add(t + 1, 1);
+            last_pos[rank] = t;
         }
-        bit.add(t + 1, 1);
-        last_pos.insert(b, t);
+        totals.push(TemplateBreakdown {
+            cold_misses: cold,
+            capacity_misses: capacity,
+            total: cold + capacity,
+        });
     }
-
-    TemplateBreakdown {
-        cold_misses: cold,
-        capacity_misses: capacity,
-        total: cold + capacity,
-    }
+    totals
 }
 
 /// Minimal Fenwick (binary indexed) tree over `i64` counts, 1-indexed.

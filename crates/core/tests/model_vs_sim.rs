@@ -3,6 +3,7 @@
 //! generalized beyond the paper's two cache configurations.
 
 use dvf_cachesim::{simulate, CacheConfig, MemRef, Trace};
+use dvf_core::patterns::template::count_template_passes;
 use dvf_core::patterns::{CacheView, RandomSpec, StreamingSpec, TemplateSpec};
 use proptest::prelude::*;
 
@@ -38,6 +39,27 @@ fn streaming_trace(spec: &StreamingSpec, line: u64) -> Trace {
         }
     }
     t
+}
+
+/// The two-step algorithm, one reference at a time: a re-reference
+/// misses when the distinct blocks seen since its previous use number at
+/// least `capacity_blocks`.
+fn reference_template_total(blocks: &[u64], capacity_blocks: f64) -> u64 {
+    let mut total = 0;
+    for (t, b) in blocks.iter().enumerate() {
+        match blocks[..t].iter().rposition(|x| x == b) {
+            None => total += 1,
+            Some(prev) => {
+                let mut between: Vec<u64> = blocks[prev + 1..t].to_vec();
+                between.sort_unstable();
+                between.dedup();
+                if between.len() as f64 >= capacity_blocks {
+                    total += 1;
+                }
+            }
+        }
+    }
+    total
 }
 
 fn arb_cache() -> impl Strategy<Value = CacheConfig> {
@@ -92,6 +114,27 @@ proptest! {
         }
         let sim = simulate(&trace, cfg);
         prop_assert_eq!(modeled, sim.ds(ds).misses as f64);
+    }
+
+    /// One walk's `(first, two-pass)` counts equal two independent
+    /// per-reference runs, for capacities in quarter blocks on both
+    /// sides of `distinct − 1`, above which the counter returns the cold
+    /// misses alone.
+    #[test]
+    fn template_passes_match_per_reference_runs(
+        blocks in prop::collection::vec(0u64..40, 1..120),
+        quarters in 0u32..=32,
+    ) {
+        let mut distinct = blocks.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let offset = f64::from(quarters) / 4.0 - 4.0;
+        let capacity = (distinct.len() as f64 - 1.0 + offset).max(0.0);
+        let passes = count_template_passes(&blocks, capacity, 2);
+        let doubled = [blocks.as_slice(), blocks.as_slice()].concat();
+        prop_assert_eq!(passes[0].total, reference_template_total(&blocks, capacity));
+        prop_assert_eq!(passes[1].total, reference_template_total(&doubled, capacity));
+        prop_assert_eq!(passes[0].cold_misses, distinct.len() as u64);
     }
 
     /// Template repeat extrapolation stays exact under simulation too.

@@ -2,8 +2,9 @@
 //!
 //! A manifest run keeps two files next to each other:
 //!
-//! * `<path>` — the full chunk plan + grid, written once at planning
-//!   time by [`dvf_core::gridplan::ChunkPlan::manifest_json_full`]. A
+//! * `<path>` — the full chunk plan + grid, rendered once at planning
+//!   time by [`dvf_core::gridplan::ChunkPlan::manifest_json_full`] and
+//!   written whole or not at all ([`write_manifest`]). A
 //!   later invocation reloads it verbatim instead of replanning, so the
 //!   chunk→shard map (and therefore each shard's warm memo cache) is
 //!   exactly the one the original run produced.
@@ -29,6 +30,25 @@ use dvf_obs::JsonWriter;
 /// The journal path that goes with a manifest path.
 pub fn journal_path(manifest_path: &str) -> String {
     format!("{manifest_path}.progress")
+}
+
+/// Write a manifest so that a crash leaves either no manifest or the
+/// whole one: the text goes to the sibling `<path>.tmp` (replacing any
+/// stale copy a killed run left), is synced, and is renamed over `path`;
+/// the directory is synced so the rename itself survives.
+pub fn write_manifest(path: &str, text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let staging = format!("{path}.tmp");
+    let mut file = std::fs::File::create(&staging)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&staging, path)?;
+    let dir = match std::path::Path::new(path).parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => std::path::Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Serialize one completed chunk as a journal line (no trailing newline).

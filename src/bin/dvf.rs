@@ -696,7 +696,8 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     let plan = fresh_plan();
-                    if let Err(e) = std::fs::write(path, plan.manifest_json_full(&grid)) {
+                    let text = plan.manifest_json_full(&grid);
+                    if let Err(e) = dvf::serve::manifest::write_manifest(path, &text) {
                         eprintln!("error: cannot write {path}: {e}");
                         return ExitCode::FAILURE;
                     }

@@ -241,6 +241,66 @@ model app {
     assert!(rows[3].starts_with("2000,100"), "{stdout}");
 }
 
+/// All four CGPMAC families over a 16 KiB and a 4 MiB cache
+/// (`nsets = 64` or `16384`), for the golden sweep below.
+const PATTERNS_MODEL: &str = r#"
+machine m {
+  param nsets = 16384
+  cache { associativity = 4  sets = nsets  line = 64 }
+  memory { fit = 5000 }
+  core { flops = 1e9  bandwidth = 4e9 }
+}
+
+model mix {
+  param n = 4000
+  param k = 3
+
+  data S { size = n * 8  element = 8 }
+  data G { size = n * 16  element = 16 }
+  data T { size = 4096 * 8  element = 8 }
+  data U { size = 512 * 8  element = 8 }
+  data P { size = 8 * KiB  element = 8 }
+  data Q { size = 8 * KiB  element = 8 }
+
+  kernel main {
+    flops = 4 * n
+    access S as streaming(stride = k)
+    access G as random(k = 10 * k, iters = n / 8)
+    access T as template(starts = (0, 2048), step = 1, ends = (2047, 4095), repeat = k)
+    access U as template(starts = (0, 256), step = 1, ends = (255, 511), repeat = k)
+    access P as reuse(interfering = n * 8, reuses = k)
+    access Q as reuse(interfering = n * 16, reuses = k, scenario = concurrent)
+  }
+}
+"#;
+
+#[test]
+fn sweep_stdout_matches_the_golden_file() {
+    // The closed forms' fast paths must not move a printed digit. Over
+    // the 16 KiB cache template T (512 blocks) takes capacity misses and
+    // template U (64 blocks) fits; every reuse row runs both scenarios.
+    let path = write_model(PATTERNS_MODEL);
+    let out = dvf(&[
+        "sweep",
+        path.to_str().unwrap(),
+        "--sweep",
+        "nsets=64,16384",
+        "--sweep",
+        "n=4000,24000,96000",
+        "--sweep",
+        "k=1,3,8",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        include_str!("golden/sweep_patterns.txt")
+    );
+}
+
 #[test]
 fn sweep_progress_emits_structured_lines_on_stderr() {
     let path = write_model(MODEL);

@@ -267,9 +267,14 @@ impl ManifestFiles {
         format!("{}.progress", self.manifest)
     }
 
+    fn staging(&self) -> String {
+        format!("{}.tmp", self.manifest)
+    }
+
     fn cleanup(&self) {
         let _ = std::fs::remove_file(&self.manifest);
         let _ = std::fs::remove_file(self.journal());
+        let _ = std::fs::remove_file(self.staging());
     }
 }
 
@@ -431,6 +436,52 @@ fn torn_journal_tail_is_cut_before_a_resume_appends() {
         )),
         "{stderr}"
     );
+}
+
+#[test]
+fn stale_manifest_staging_file_breaks_neither_a_fresh_run_nor_a_resume() {
+    let model = write_model(MODEL);
+    let model = model.to_str().unwrap();
+    let files = ManifestFiles::new("staging");
+
+    // A run killed while writing its manifest left half of one in the
+    // staging file, and no manifest.
+    std::fs::write(files.staging(), "{\"schema\":\"dvf-sweep-mani").unwrap();
+    let a = spawn_shard();
+    let b = spawn_shard();
+    let shard_list = format!("{},{}", a.addr, b.addr);
+    let (run1, _) = sweep(model, &shard_list, &["--manifest", &files.manifest]);
+    let plan_text = std::fs::read_to_string(&files.manifest).expect("manifest written");
+    Json::parse(&plan_text).expect("the fresh manifest is whole");
+    assert!(
+        !std::path::Path::new(&files.staging()).exists(),
+        "the staging file is renamed into place"
+    );
+
+    // A torn staging file beside a whole manifest: the resume reads the
+    // manifest and merges every chunk from the journal, fleet gone.
+    std::fs::write(files.staging(), "{\"chunks\":[").unwrap();
+    drop(a);
+    drop(b);
+    let out = dvf(&[
+        "sweep",
+        model,
+        "--sweep",
+        "fit=1000,5000",
+        "--sweep",
+        "n=100:600:6",
+        "--chunk-points",
+        "2",
+        "--shards",
+        &shard_list,
+        "--manifest",
+        &files.manifest,
+    ]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "resume failed:\n{stderr}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), run1);
+    assert!(stderr.contains("chunk(s) already complete"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&files.manifest).unwrap(), plan_text);
 }
 
 #[test]
